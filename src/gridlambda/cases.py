@@ -7,20 +7,20 @@ The expectation file is tab-separated:
     target <reference formula>
     <expected grid rows...>
 
-Expected cells parse as numbers, ISO dates, TRUE/FALSE, error strings, ""
-(empty text), or bare text; a blank field is an empty cell. ``round``
-compares numbers rounded half away from zero to integers.
+Expected cells parse as workbook literals (numbers, ISO dates, TRUE/FALSE,
+error strings, else text), except that ``""`` is empty text and a blank field
+is an empty cell. ``round`` compares numbers rounded half away from zero to
+integers.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .engine import TraceSink, load_workbook
-from .values import EMPTY, Array, Closure, ErrorValue, error_from_text, render_cell
+from .engine import TraceSink, load_workbook, parse_literal
+from .values import EMPTY, Array, Closure, ErrorValue, render_cell
 
 _MODES = ("exact", "round", "abstol", "reltol")
 
@@ -61,23 +61,7 @@ def parse_expected_cell(text: str):
         return EMPTY
     if text == '""':
         return ""
-    upper = text.upper()
-    if upper in ("TRUE", "FALSE"):
-        return upper == "TRUE"
-    err = error_from_text(text)
-    if err is not None:
-        return err
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if len(text) == 10 and text[4] == "-" and text[7] == "-":
-        try:
-            day = dt.date.fromisoformat(text)
-            return float((day - dt.date(1899, 12, 30)).days)
-        except ValueError:
-            pass
-    return text
+    return parse_literal(text)
 
 
 def load_case(case_dir: Path) -> GoldenCase:

@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import cases as corpus_mod
-from .engine import NameCollision, Workbook, WorkbookFormatError, load_workbook, parse_literal
+from .engine import NameCollision, Workbook, WorkbookFormatError, _apply_statement, load_workbook
 from .evaluator import BUILTINS, TraceSink
 from .parser import LexError, ParseError
 from .values import Array, ErrorValue, render_cell
@@ -157,8 +157,6 @@ def cmd_repl(args) -> int:
         except EOFError:
             break
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         if line in (":quit", ":q"):
             break
         if line.startswith(":trace"):
@@ -174,30 +172,24 @@ def cmd_repl(args) -> int:
                 wb.recalculate()
                 value = wb.evaluate_formula(line, caller=(current_sheet.casefold(), 1, 1))
                 _print_grid(_grid_rows(value), "table", sys.stdout)
-            elif line.lower().startswith("sheet ") and ":=" not in line:
-                current_sheet = line[6:].strip()
-                wb._ensure_sheet(current_sheet)
-                print(f"sheet {current_sheet}")
-            elif ":=" in line:
-                lhs, rhs = (part.strip() for part in line.split(":=", 1))
-                is_formula = rhs.startswith(("=", "{"))
-                if lhs.lower().startswith("name "):
-                    name = lhs[5:].strip()
-                    wb.define_name(name, rhs if is_formula else parse_literal(rhs))
-                    wb.recalculate()
-                    print(f"name {name} defined")
-                else:
-                    addr = wb.address(lhs, sheet=current_sheet)
-                    wb.set_cell(addr, rhs if is_formula else parse_literal(rhs))
-                    wb.recalculate()
-                    shown = wb.spill_array(*addr)
-                    if shown is None:
-                        shown = wb.cell_value(*addr)
-                    _print_grid(_grid_rows(shown), "table", sys.stdout)
-            else:
-                print("expected '=formula', 'ADDR := content', 'name N := formula', or 'sheet S'",
-                      file=sys.stderr)
-        except (ParseError, LexError, WorkbookFormatError, NameCollision, ValueError) as exc:
+                continue
+            done = _apply_statement(wb, line, current_sheet)
+            if done is None:
+                continue
+            kind, target = done
+            if kind == "sheet":
+                current_sheet = target
+                print(f"sheet {target}")
+                continue
+            wb.recalculate()
+            if kind == "name":
+                print(f"name {target} defined")
+                continue
+            shown = wb.spill_array(*target)
+            if shown is None:
+                shown = wb.cell_value(*target)
+            _print_grid(_grid_rows(shown), "table", sys.stdout)
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
     return 0
 

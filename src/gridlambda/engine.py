@@ -19,8 +19,15 @@ from dataclasses import dataclass, field
 
 from . import functions as _functions  # noqa: F401  (populates the builtin registry)
 from . import expr as E
-from .evaluator import Environment, EvalContext, TraceSink, evaluate, is_builtin_name
-from .parser import ParseError, _cellref_parts, parse_formula, tokenize
+from .evaluator import (
+    Environment,
+    EvalContext,
+    TraceSink,
+    _resolve_spill_target,
+    evaluate,
+    is_builtin_name,
+)
+from .parser import _cellref_parts, parse_formula, tokenize
 from .values import (
     CIRC_ERROR,
     EMPTY,
@@ -508,16 +515,19 @@ def _walk(node, bound, sheet, wb, addrs, names, visiting):
                 for c in range(s.col, t.col + 1):
                     addrs.add((key, r, c))
         case E.SpillRef(target=target):
-            _walk_spill_target(target, sheet, wb, addrs, names, visiting)
+            anchor, keys = _resolve_spill_target(target, wb.lookup_name)
+            names.update(keys)
+            if isinstance(anchor, E.CellRef):
+                key = wb._sheet_key(anchor.sheet) if anchor.sheet else sheet
+                addrs.add((key, anchor.row, anchor.col))
         case E.NameRef(name=name):
             key = name.casefold()
-            if key in bound:
+            if key in bound or is_builtin_name(name):
                 return
-            defined = wb.names.get(key)
-            if defined is None:
-                return
+            # Wired even while undefined, so a later define_name reaches it.
             names.add(key)
-            if key not in visiting:
+            defined = wb.names.get(key)
+            if defined is not None and key not in visiting:
                 _walk(defined.expr, frozenset(), sheet, wb, addrs, names, visiting | {key})
         case E.ImplicitIntersect(inner=inner):
             _walk(inner, bound, sheet, wb, addrs, names, visiting)
@@ -542,20 +552,6 @@ def _walk(node, bound, sheet, wb, addrs, names, visiting):
             _walk(operand, bound, sheet, wb, addrs, names, visiting)
         case _:
             pass
-
-
-def _walk_spill_target(target, sheet, wb, addrs, names, visiting):
-    if isinstance(target, E.CellRef):
-        key = wb._sheet_key(target.sheet) if target.sheet else sheet
-        addrs.add((key, target.row, target.col))
-    elif isinstance(target, E.NameRef):
-        name_key = target.name.casefold()
-        if name_key in visiting:
-            return
-        names.add(name_key)
-        defined = wb.names.get(name_key)
-        if defined is not None:
-            _walk_spill_target(defined.expr, sheet, wb, addrs, names, visiting | {name_key})
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +644,33 @@ def parse_literal(text: str):
     return raw
 
 
+def _apply_statement(wb: Workbook, line: str, sheet: str):
+    """Apply one workbook statement; ``sheet`` is the open sheet section.
+
+    Returns ``("sheet", name)``, ``("name", name)`` or ``("cell", address)``,
+    or None for a blank or comment line. Raises ``ValueError`` (including
+    ``ParseError`` and ``NameCollision``) on a malformed statement.
+    """
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    if line.lower().startswith("sheet ") and ":=" not in line:
+        name = line[6:].strip()
+        wb._ensure_sheet(name)
+        return ("sheet", name)
+    if ":=" not in line:
+        raise ValueError("expected ':=' assignment")
+    lhs, rhs = (part.strip() for part in line.split(":=", 1))
+    is_formula = rhs.startswith(("=", "{"))
+    if lhs.lower().startswith("name "):
+        name = lhs[5:].strip()
+        wb.define_name(name, rhs if is_formula else _literal_expr(parse_literal(rhs)))
+        return ("name", name)
+    addr = wb.address(lhs, sheet=sheet)
+    wb.set_cell(addr, rhs if is_formula else parse_literal(rhs))
+    return ("cell", addr)
+
+
 def load_workbook_text(
     text: str,
     path: str = "<workbook>",
@@ -657,30 +680,12 @@ def load_workbook_text(
     wb = Workbook(depth_limit=depth_limit, trace=trace)
     current_sheet = wb.default_sheet
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
         try:
-            if line.lower().startswith("sheet ") and ":=" not in line:
-                current_sheet = line[6:].strip()
-                wb._ensure_sheet(current_sheet)
-                continue
-            if ":=" not in line:
-                raise WorkbookFormatError("expected ':=' assignment", path, line_no)
-            lhs, rhs = line.split(":=", 1)
-            lhs = lhs.strip()
-            rhs = rhs.strip()
-            is_formula = rhs.startswith("=") or rhs.startswith("{")
-            if lhs.lower().startswith("name "):
-                name = lhs[5:].strip()
-                wb.define_name(name, rhs if is_formula else _literal_expr(parse_literal(rhs)))
-            else:
-                addr = wb.address(lhs, sheet=current_sheet)
-                wb.set_cell(addr, rhs if is_formula else parse_literal(rhs))
-        except WorkbookFormatError:
-            raise
-        except (ParseError, NameCollision, ValueError) as exc:
+            done = _apply_statement(wb, raw_line, current_sheet)
+        except ValueError as exc:
             raise WorkbookFormatError(str(exc), path, line_no) from exc
+        if done is not None and done[0] == "sheet":
+            current_sheet = done[1]
     return wb
 
 

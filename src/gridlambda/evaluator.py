@@ -7,6 +7,7 @@ raised. Workbook state is reached only through the context's workbook handle.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from . import expr as E
@@ -150,60 +151,35 @@ def _finite_or_num_error(x: float):
     return x if math.isfinite(x) else NUM_ERROR
 
 
-def _num_add(a, b):
-    a, b = coerce_to_number(a), coerce_to_number(b)
-    if isinstance(a, ErrorValue):
-        return a
-    if isinstance(b, ErrorValue):
-        return b
-    return _finite_or_num_error(a + b)
+def _numeric_kernel(op):
+    """A scalar kernel for a binary numeric operation: both operands coerce,
+    the first error operand wins, division by zero is #DIV/0!, and an
+    overflow, a domain error or a non-finite result is #NUM!."""
+
+    def kernel(a, b):
+        a, b = coerce_to_number(a), coerce_to_number(b)
+        if isinstance(a, ErrorValue):
+            return a
+        if isinstance(b, ErrorValue):
+            return b
+        try:
+            return _finite_or_num_error(op(a, b))
+        except ZeroDivisionError:
+            return DIV0
+        except (OverflowError, ValueError):
+            return NUM_ERROR
+
+    return kernel
 
 
-def _num_sub(a, b):
-    a, b = coerce_to_number(a), coerce_to_number(b)
-    if isinstance(a, ErrorValue):
-        return a
-    if isinstance(b, ErrorValue):
-        return b
-    return _finite_or_num_error(a - b)
-
-
-def _num_mul(a, b):
-    a, b = coerce_to_number(a), coerce_to_number(b)
-    if isinstance(a, ErrorValue):
-        return a
-    if isinstance(b, ErrorValue):
-        return b
-    return _finite_or_num_error(a * b)
-
-
-def _num_div(a, b):
-    a, b = coerce_to_number(a), coerce_to_number(b)
-    if isinstance(a, ErrorValue):
-        return a
-    if isinstance(b, ErrorValue):
-        return b
-    if b == 0:
-        return DIV0
-    return _finite_or_num_error(a / b)
-
-
-def _num_pow(a, b):
-    a, b = coerce_to_number(a), coerce_to_number(b)
-    if isinstance(a, ErrorValue):
-        return a
-    if isinstance(b, ErrorValue):
-        return b
+def _power(a, b):
+    # 0^-n raises ZeroDivisionError (#DIV/0!); 0^0 and a negative base to a
+    # fractional power, whose result is complex, are #NUM!.
     if a == 0 and b == 0:
-        return NUM_ERROR
-    if a == 0 and b < 0:
-        return DIV0
-    try:
-        out = a ** b
-    except (OverflowError, ValueError):
-        return NUM_ERROR
-    if isinstance(out, complex) or not math.isfinite(out):
-        return NUM_ERROR
+        raise ValueError("0^0")
+    out = a ** b
+    if isinstance(out, complex):
+        raise ValueError("no real power")
     return out
 
 
@@ -227,11 +203,11 @@ def _make_comparison(test):
 
 
 _BINARY_KERNELS = {
-    "+": _num_add,
-    "-": _num_sub,
-    "*": _num_mul,
-    "/": _num_div,
-    "^": _num_pow,
+    "+": _numeric_kernel(operator.add),
+    "-": _numeric_kernel(operator.sub),
+    "*": _numeric_kernel(operator.mul),
+    "/": _numeric_kernel(operator.truediv),
+    "^": _numeric_kernel(_power),
     "&": _concat,
     "=": _make_comparison(lambda o: o == 0),
     "<>": _make_comparison(lambda o: o != 0),
@@ -365,30 +341,35 @@ def _eval_spill_ref(target, env: Environment, ctx: EvalContext):
     wb = ctx.workbook
     if wb is None:
         return REF_ERROR
-    anchor = _resolve_anchor(target, ctx)
+    anchor, _ = _resolve_spill_target(target, wb.lookup_name)
     if isinstance(anchor, ErrorValue):
         return anchor
-    arr = wb.spill_array(*anchor)
+    arr = wb.spill_array(anchor.sheet or ctx.current_sheet(), anchor.row, anchor.col)
     if arr is None:
         return ErrorValue(REF_ERROR.kind, "referent is not a spill anchor")
     return arr
 
 
-def _resolve_anchor(target, ctx: EvalContext, _seen: frozenset = frozenset()):
-    """Follow a spill-reference target (cell or defined-name chain) to a cell address."""
-    if isinstance(target, E.CellRef):
-        sheet = target.sheet or ctx.current_sheet()
-        return (sheet, target.row, target.col)
-    if isinstance(target, E.NameRef):
+def _resolve_spill_target(target, lookup_name):
+    """Follow a spill-reference target through a chain of defined names.
+
+    ``lookup_name`` maps a name to its definition or None. Returns the
+    ``CellRef`` reached (or an error value) and the casefolded keys of the
+    names passed through, undefined ones included.
+    """
+    keys: list[str] = []
+    while isinstance(target, E.NameRef):
         key = target.name.casefold()
-        if key in _seen:
-            return REF_ERROR
-        wb = ctx.workbook
-        defined = wb.lookup_name(target.name) if wb is not None else None
+        if key in keys:
+            return REF_ERROR, keys
+        keys.append(key)
+        defined = lookup_name(target.name)
         if defined is None:
-            return ErrorValue(NAME_ERROR.kind, f"unknown name {target.name!r}")
-        return _resolve_anchor(defined.expr, ctx, _seen | {key})
-    return REF_ERROR
+            return ErrorValue(NAME_ERROR.kind, f"unknown name {target.name!r}"), keys
+        target = defined.expr
+    if isinstance(target, E.CellRef):
+        return target, keys
+    return REF_ERROR, keys
 
 
 def _eval_intersect(inner, env: Environment, ctx: EvalContext):

@@ -11,7 +11,7 @@ import math
 
 from . import expr as E
 from . import numerics
-from .evaluator import apply_closure, evaluate, register
+from .evaluator import _finite_or_num_error, _numeric_kernel, apply_closure, evaluate, register
 from .values import (
     CALC_ERROR,
     DIV0,
@@ -471,7 +471,7 @@ def _sum(ctx, *args):
     out = _sum_count(args)
     if isinstance(out, ErrorValue):
         return out
-    return out[0]
+    return _finite_or_num_error(out[0])
 
 
 @register("COUNT", 1, 255)
@@ -504,33 +504,15 @@ def _average(ctx, *args):
     total, count = out
     if count == 0:
         return DIV0
-    return total / count
+    return _finite_or_num_error(total / count)
 
 
 # ---------------------------------------------------------------------------
 # Integer math, matrix product
 
 
-def _mod_kernel(a, b):
-    a, b = coerce_to_number(a), coerce_to_number(b)
-    if isinstance(a, ErrorValue):
-        return a
-    if isinstance(b, ErrorValue):
-        return b
-    if b == 0:
-        return DIV0
-    return a - b * math.floor(a / b)
-
-
-def _quotient_kernel(a, b):
-    a, b = coerce_to_number(a), coerce_to_number(b)
-    if isinstance(a, ErrorValue):
-        return a
-    if isinstance(b, ErrorValue):
-        return b
-    if b == 0:
-        return DIV0
-    return float(math.trunc(a / b))
+_mod_kernel = _numeric_kernel(lambda a, b: a - b * math.floor(a / b))
+_quotient_kernel = _numeric_kernel(lambda a, b: float(math.trunc(a / b)))
 
 
 @register("MOD", 2, 2)
@@ -561,7 +543,8 @@ def _mmult(ctx, a, b):
     for r in range(ma.n_rows):
         row = []
         for c in range(mb.n_cols):
-            row.append(sum(ma.rows[r][k] * mb.rows[k][c] for k in range(ma.n_cols)))
+            total = sum(ma.rows[r][k] * mb.rows[k][c] for k in range(ma.n_cols))
+            row.append(_finite_or_num_error(total))
         out.append(tuple(row))
     return Array(out)
 

@@ -12,11 +12,6 @@ from dataclasses import dataclass
 from . import expr as E
 from .values import Param, error_from_text
 
-TOKEN_KINDS = (
-    "number", "text", "bool", "error", "ident", "cellref",
-    "op", "punct", "array_open", "array_close", "spill", "at",
-)
-
 _ERROR_TEXTS = sorted(
     ("#DIV/0!", "#VALUE!", "#REF!", "#NAME?", "#NUM!", "#N/A", "#CALC!", "#SPILL!", "#CIRC!"),
     key=len,

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from gridlambda import load_workbook_text
+from gridlambda.values import render_cell
+
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
@@ -188,6 +191,35 @@ def test_repl_session():
     assert "15" in stdout
     assert "4" in stdout.splitlines()[-1]
     assert "error:" in out.stderr
+
+
+def test_repl_statements_match_workbook_file():
+    statements = [
+        "sheet Data",
+        "name f := =LAMBDA(x, x * 2)",
+        "name n := 3",
+        "name t := hello",
+        "name b := TRUE",
+        "name e := #N/A",
+        "name d := 2013-10-01",
+        "A1 := =f(n)",
+        "A2 := {1,2}",
+        "A3 := 2.5",
+        "A4 := memo",
+        "A5 := FALSE",
+        "A6 := #DIV/0!",
+        "A7 := 2013-10-01",
+    ]
+    query = "=HSTACK(n, t, b, e, d, Data!A1, Data!B2, Data!A3, Data!A4, Data!A5, Data!A6, Data!A7)"
+    wb = load_workbook_text("\n".join(statements))
+    wb.recalculate()
+    want = [render_cell(v) for v in wb.evaluate_formula(query).rows[0]]
+    assert want[:5] == ["3", "hello", "TRUE", "#N/A", "41548"]
+
+    out = run_cli("repl", stdin="\n".join([*statements, query, ":quit"]))
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    assert out.stdout.splitlines()[-1].split() == want
 
 
 def test_repl_trace_toggle():

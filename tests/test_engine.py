@@ -508,3 +508,41 @@ def test_set_cell_accepts_parsed_expr():
     wb.set_cell("A1", parse_formula("=6 * 7"))
     wb.recalculate()
     assert wb.cell_value("Sheet1", 1, 1) == 42.0
+
+
+# -- names defined after the cells that read them -------------------------------
+
+
+def test_late_defined_name_in_value_position():
+    wb = Workbook()
+    wb.set_cell("A1", "=foo+1")
+    wb.recalculate()
+    assert kind(wb.cell_value("Sheet1", 1, 1)) == ErrorKind.NAME
+    wb.define_name("foo", "=41")
+    report = wb.recalculate()
+    assert report.evaluated >= 1
+    assert wb.cell_value("Sheet1", 1, 1) == 42.0
+
+
+def test_late_defined_name_in_call_position():
+    wb = Workbook()
+    wb.set_cell("A1", "=bar(1)")
+    wb.recalculate()
+    assert kind(wb.cell_value("Sheet1", 1, 1)) == ErrorKind.NAME
+    wb.define_name("bar", "=LAMBDA(x, x+1)")
+    wb.recalculate()
+    assert wb.cell_value("Sheet1", 1, 1) == 2.0
+    # Builtins can never be defined, so calls to them are not wired as names.
+    wb.set_cell("A2", "=SUM(1, 2) + IF(TRUE, 1)")
+    assert "sum" not in wb._name_refs and "if" not in wb._name_refs
+
+
+def test_overflowing_cell_does_not_abort_recalculation():
+    wb = Workbook()
+    wb.set_cell("A1", "=1+1")
+    wb.set_cell("A2", "=MOD(1e308,1e-308)")
+    wb.set_cell("A3", "=QUOTIENT(1e308,1e-308)")
+    wb.recalculate()
+    assert wb.cell_value("Sheet1", 1, 1) == 2.0
+    assert kind(wb.cell_value("Sheet1", 2, 1)) == ErrorKind.NUM
+    assert kind(wb.cell_value("Sheet1", 3, 1)) == ErrorKind.NUM

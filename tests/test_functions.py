@@ -287,6 +287,11 @@ def test_sum_count_average(wb):
     assert kind(wb.evaluate_formula('=AVERAGE({"a";"b"})')) == ErrorKind.DIV0
 
 
+def test_reductions_overflow_to_num_error(wb):
+    assert kind(wb.evaluate_formula("=SUM(1e308,1e308)")) == ErrorKind.NUM
+    assert kind(wb.evaluate_formula("=AVERAGE(1e308,1e308)")) == ErrorKind.NUM
+
+
 def test_sum_ignores_booleans_in_arrays(wb):
     assert wb.evaluate_formula("=SUM(IF({1;2}={3;2}, 100))") == 100.0
     assert wb.evaluate_formula('=SUM(VSTACK(1, TRUE, "7", 2))') == 3.0
@@ -327,6 +332,11 @@ def test_quotient(wb):
     assert kind(wb.evaluate_formula("=QUOTIENT(1, 0)")) == ErrorKind.DIV0
 
 
+def test_mod_and_quotient_overflow_is_num_error(wb):
+    assert kind(wb.evaluate_formula("=MOD(1e308,1e-308)")) == ErrorKind.NUM
+    assert kind(wb.evaluate_formula("=QUOTIENT(1e308,1e-308)")) == ErrorKind.NUM
+
+
 def test_mod_lifts_over_arrays(wb):
     out = wb.evaluate_formula("=MOD({1;2;3;4;5;6;7;8;9;10}, 3)")
     assert col(out) == [float(k % 3) for k in range(1, 11)]
@@ -340,6 +350,11 @@ def test_mmult(wb):
     assert wb.evaluate_formula("=MMULT({1,2,3}, {1;1;1})").rows == ((6.0,),)
     assert kind(wb.evaluate_formula("=MMULT({1,2;3,4}, {1;2;3})")) == ErrorKind.VALUE
     assert kind(wb.evaluate_formula('=MMULT({1,"x"}, {1;1})')) == ErrorKind.VALUE
+
+
+def test_mmult_overflow_is_num_error(wb):
+    out = wb.evaluate_formula("=MMULT({1e308,1e308},{1e308;1e308})")
+    assert kind(out.at(0, 0)) == ErrorKind.NUM
 
 
 def test_byrow_sum_equals_mmult_with_ones():
