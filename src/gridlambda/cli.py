@@ -136,7 +136,6 @@ def cmd_corpus(args) -> int:
 def cmd_functions(_args) -> int:
     print("LAMBDA  (language form: LAMBDA(params..., body))")
     print("LET     (language form: LET(name, value, ..., body))")
-    print("IF      2..3 args (lazy scalar condition)")
     for key in sorted(BUILTINS):
         b = BUILTINS[key]
         print(f"{b.name:<10} {b.min_args}..{b.max_args} args")

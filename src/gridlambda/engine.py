@@ -137,6 +137,7 @@ class Workbook:
 
         self._deps_out: dict[Address, set[Address]] = {}
         self._deps_in: dict[Address, set[Address]] = {}
+        self._names_out: dict[Address, tuple[str, ...]] = {}  # cell -> name keys it reaches
         self._name_refs: dict[str, set[Address]] = {}  # name key -> referring cells
         self._regions: dict[Address, tuple[int, int]] = {}
         self._member_of: dict[Address, Address] = {}
@@ -170,7 +171,7 @@ class Workbook:
         cell = self.cells.get(addr)
         if cell is None:
             cell = self.cells[addr] = Cell()
-        if isinstance(content, str) and content.lstrip().startswith(("=", "{")):
+        if _is_formula(content):
             content = parse_formula(content)
         if isinstance(content, E.Expr):
             cell.formula = content
@@ -200,6 +201,8 @@ class Workbook:
         self._touch_layout(addr)
 
     def define_name(self, name: str, content) -> None:
+        """Define a workbook name; ``content`` reads as in ``set_cell``, so a
+        string that is not formula text is a text value."""
         if _cellref_parts(name) is not None:
             raise NameCollision(f"{name!r} is shaped like a cell reference")
         tokens = tokenize(name)
@@ -207,7 +210,7 @@ class Workbook:
             raise NameCollision(f"{name!r} is not a valid name")
         if is_builtin_name(name) or name.upper() in ("LET", "LAMBDA"):
             raise NameCollision(f"{name!r} shadows a built-in function")
-        if isinstance(content, str):
+        if _is_formula(content):
             content = parse_formula(content)
         elif not isinstance(content, E.Expr):
             content = _literal_expr(content)
@@ -234,6 +237,8 @@ class Workbook:
             return
         refs, names = _extract_refs(cell.formula, addr[0], self)
         self._deps_out[addr] = refs
+        if names:
+            self._names_out[addr] = tuple(names)
         for ref in refs:
             self._deps_in.setdefault(ref, set()).add(addr)
         for name_key in names:
@@ -246,8 +251,11 @@ class Workbook:
                 readers.discard(addr)
                 if not readers:
                     del self._deps_in[ref]
-        for referers in self._name_refs.values():
+        for name_key in self._names_out.pop(addr, ()):
+            referers = self._name_refs[name_key]
             referers.discard(addr)
+            if not referers:
+                del self._name_refs[name_key]
 
     # -- values seen by the evaluator
 
@@ -282,9 +290,7 @@ class Workbook:
         if addr not in self._regions:
             return None
         arr = self.cells[addr].value
-        if not isinstance(arr, Array):
-            return None
-        return Array(arr.rows, origin=addr)
+        return arr if isinstance(arr, Array) else None
 
     def spill_region(self, addr: Address | str) -> tuple[int, int] | None:
         if isinstance(addr, str):
@@ -306,11 +312,17 @@ class Workbook:
         if isinstance(caller, str):
             caller = self.address(caller)
         expr = text if isinstance(text, E.Expr) else parse_formula(text)
+        return run_deep(lambda: self._evaluate(expr, caller), self.depth_limit)
 
-        def go():
+    def _evaluate(self, expr: E.Expr, caller: Address | None):
+        """Evaluate ``expr`` as seen from ``caller``. Evaluation is total: an
+        exception that escapes the evaluator becomes #NUM!."""
+        try:
             return evaluate(expr, Environment(), self._context(caller))
-
-        return run_deep(go, self.depth_limit)
+        except RecursionError:
+            return ErrorValue(NUM_ERROR.kind, "evaluation too deeply nested")
+        except Exception as exc:
+            return ErrorValue(NUM_ERROR.kind, f"{type(exc).__name__}: {exc}")
 
     def recalculate(self) -> CalcReport:
         return run_deep(self._recalculate, self.depth_limit)
@@ -398,10 +410,7 @@ class Workbook:
         cell = self.cells[addr]
         if cell.formula is None:
             return cell.literal
-        try:
-            return evaluate(cell.formula, Environment(), self._context(addr))
-        except RecursionError:
-            return ErrorValue(NUM_ERROR.kind, "evaluation too deeply nested")
+        return self._evaluate(cell.formula, addr)
 
     def _set_cell_result(self, addr, value, report, evaluated, work, next_dirty):
         cell = self.cells[addr]
@@ -469,12 +478,18 @@ class Workbook:
                 self._member_of[member] = anchor
                 new_members.add(member)
         self._regions[anchor] = (nr, nc)
-        return Array(arr.rows), old_members | new_members
+        return Array(arr.rows, origin=anchor), old_members | new_members
 
 
 def _format_address(addr: Address, sheet_names: dict[str, str]) -> str:
     sheet, row, col = addr
     return f"{sheet_names.get(sheet, sheet)}!{E.col_to_letters(col)}{row}"
+
+
+def _is_formula(content) -> bool:
+    """A string is formula text when it starts with ``=`` or ``{``; any other
+    string is a text value."""
+    return isinstance(content, str) and content.lstrip().startswith(("=", "{"))
 
 
 def _literal_expr(value) -> E.Expr:
@@ -534,8 +549,7 @@ def _walk(node, bound, sheet, wb, addrs, names, visiting):
         case E.Call(callee=callee, args=args):
             _walk(callee, bound, sheet, wb, addrs, names, visiting)
             for a in args:
-                if a is not E.OMITTED_ARG:
-                    _walk(a, bound, sheet, wb, addrs, names, visiting)
+                _walk(a, bound, sheet, wb, addrs, names, visiting)
         case E.Let(bindings=bindings, body=body):
             inner_bound = set(bound)
             for name, value_expr in bindings:
@@ -661,13 +675,13 @@ def _apply_statement(wb: Workbook, line: str, sheet: str):
     if ":=" not in line:
         raise ValueError("expected ':=' assignment")
     lhs, rhs = (part.strip() for part in line.split(":=", 1))
-    is_formula = rhs.startswith(("=", "{"))
+    content = rhs if _is_formula(rhs) else parse_literal(rhs)
     if lhs.lower().startswith("name "):
         name = lhs[5:].strip()
-        wb.define_name(name, rhs if is_formula else _literal_expr(parse_literal(rhs)))
+        wb.define_name(name, content)
         return ("name", name)
     addr = wb.address(lhs, sheet=sheet)
-    wb.set_cell(addr, rhs if is_formula else parse_literal(rhs))
+    wb.set_cell(addr, content)
     return ("cell", addr)
 
 

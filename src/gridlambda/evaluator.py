@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from . import expr as E
 from .values import (
-    CALC_ERROR,
     DIV0,
     NAME_ERROR,
     NUM_ERROR,
@@ -22,11 +21,8 @@ from .values import (
     Array,
     Closure,
     ErrorValue,
-    cell_in,
-    coerce_to_bool,
     coerce_to_number,
     coerce_to_text,
-    common_shape,
     compare_scalars,
     lift_elementwise,
 )
@@ -84,12 +80,12 @@ class Environment:
 
     def __init__(self, parent: "Environment | None" = None):
         self.parent = parent
-        self.frame: dict[str, tuple[str, Binding]] = {}
+        self.frame: dict[str, Binding] = {}
 
     def define(self, name: str, binding: Binding):
-        self.frame[name.casefold()] = (name, binding)
+        self.frame[name.casefold()] = binding
 
-    def lookup(self, name: str):
+    def lookup(self, name: str) -> Binding | None:
         key = name.casefold()
         env = self
         while env is not None:
@@ -140,7 +136,7 @@ def register(name: str, min_args: int, max_args: int, raw: bool = False):
 
 
 def is_builtin_name(name: str) -> bool:
-    return name.casefold() in BUILTINS or name.upper() == "IF"
+    return name.casefold() in BUILTINS
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +281,9 @@ def evaluate(expr, env: Environment, ctx: EvalContext):
 
 
 def _eval_name(name: str, env: Environment, ctx: EvalContext):
-    hit = env.lookup(name)
-    if hit is not None:
-        return _resolve_binding(name, hit[1], ctx)
+    binding = env.lookup(name)
+    if binding is not None:
+        return _resolve_binding(name, binding, ctx)
     wb = ctx.workbook
     if wb is not None:
         defined = wb.lookup_name(name)
@@ -399,30 +395,14 @@ def _eval_intersect(inner, env: Environment, ctx: EvalContext):
 
 
 def _eval_call(callee, args, env: Environment, ctx: EvalContext):
+    # Call position resolves built-ins first (so a LET name like "year"
+    # coexists with the YEAR function); any other callee evaluates like a
+    # value: lexical bindings, then workbook names.
     if isinstance(callee, E.NameRef):
-        # Call position resolves built-ins first (so a LET name like "year"
-        # coexists with the YEAR function), then lexical bindings, then
-        # workbook names. Defined names can never collide with built-ins.
-        name = callee.name
-        if name.upper() == "IF":
-            return _eval_if(args, env, ctx)
-        builtin = BUILTINS.get(name.casefold())
+        builtin = BUILTINS.get(callee.name.casefold())
         if builtin is not None:
             return _call_builtin(builtin, args, env, ctx)
-        hit = env.lookup(name)
-        if hit is not None:
-            fn = _resolve_binding(name, hit[1], ctx)
-            return _apply_value(fn, args, env, ctx)
-        wb = ctx.workbook
-        if wb is not None:
-            defined = wb.lookup_name(name)
-            if defined is not None:
-                ctx.trace.record("name", defined.name)
-                fn = evaluate(defined.expr, Environment(), ctx)
-                return _apply_value(fn, args, env, ctx)
-        return ErrorValue(NAME_ERROR.kind, f"unknown function {name!r}")
-    fn = evaluate(callee, env, ctx)
-    return _apply_value(fn, args, env, ctx)
+    return _apply_value(evaluate(callee, env, ctx), args, env, ctx)
 
 
 def _apply_value(fn, args, env: Environment, ctx: EvalContext):
@@ -430,8 +410,7 @@ def _apply_value(fn, args, env: Environment, ctx: EvalContext):
         return fn
     if not isinstance(fn, Closure):
         return ErrorValue(VALUE_ERROR.kind, "call target is not a lambda")
-    values = [OMITTED if a is E.OMITTED_ARG else evaluate(a, env, ctx) for a in args]
-    return apply_closure(fn, values, ctx)
+    return apply_closure(fn, [evaluate(a, env, ctx) for a in args], ctx)
 
 
 def apply_closure(closure: Closure, args, ctx: EvalContext):
@@ -462,51 +441,4 @@ def _call_builtin(builtin: Builtin, args, env: Environment, ctx: EvalContext):
     if builtin.raw:
         return builtin.impl(ctx, env, args)
     # Builtins receive error values unfiltered and decide propagation themselves.
-    values = [OMITTED if a is E.OMITTED_ARG else evaluate(a, env, ctx) for a in args]
-    return builtin.impl(ctx, *values)
-
-
-def _eval_if(args, env: Environment, ctx: EvalContext):
-    if len(args) not in (2, 3):
-        return ErrorValue(VALUE_ERROR.kind, "IF expects 2 or 3 arguments")
-    cond = evaluate(args[0], env, ctx) if args[0] is not E.OMITTED_ARG else OMITTED
-    if isinstance(cond, ErrorValue):
-        return cond
-    if isinstance(cond, Array):
-        # Array condition: both branches evaluate, selection is per cell. An
-        # error in a branch cell surfaces only where that branch is selected.
-        then_v = _branch_value(args[1] if len(args) > 1 else E.OMITTED_ARG, env, ctx)
-        else_v = _branch_value(args[2] if len(args) > 2 else E.OMITTED_ARG, env, ctx)
-        operands = (cond, then_v, else_v)
-        nr, nc = common_shape(operands)
-        out = []
-        for r in range(nr):
-            row = []
-            for c in range(nc):
-                cc, tc, ec = (cell_in(v, (nr, nc), r, c) for v in operands)
-                row.append(_select_cell(cc, tc, ec))
-            out.append(tuple(row))
-        return Array(out)
-    flag = coerce_to_bool(cond)
-    if isinstance(flag, ErrorValue):
-        return flag
-    if flag:
-        return _branch_value(args[1], env, ctx)
-    if len(args) > 2:
-        return _branch_value(args[2], env, ctx)
-    return False
-
-
-def _branch_value(arg, env: Environment, ctx: EvalContext):
-    if arg is E.OMITTED_ARG:
-        return False
-    return evaluate(arg, env, ctx)
-
-
-def _select_cell(cond, then_v, else_v):
-    flag = coerce_to_bool(cond)
-    if isinstance(flag, ErrorValue):
-        return flag
-    chosen = then_v if flag else else_v
-    # Array cells hold scalars and errors only; a lambda cannot be one.
-    return CALC_ERROR if isinstance(chosen, Closure) else chosen
+    return builtin.impl(ctx, *[evaluate(a, env, ctx) for a in args])

@@ -46,24 +46,19 @@ def _as_array(v):
     return Array.from_scalar(v)
 
 
-def _int_arg(v, default=None):
-    """Truncate a numeric argument to int; OMITTED takes the default."""
-    if v is OMITTED or v is EMPTY:
-        if default is None:
-            return VALUE_ERROR
-        return default
-    n = coerce_to_number(v)
-    if isinstance(n, ErrorValue):
-        return n
-    return math.trunc(n)
-
-
 def _num_arg(v, default=None):
+    """Coerce a numeric argument; OMITTED takes the default."""
     if v is OMITTED or v is EMPTY:
         if default is None:
             return VALUE_ERROR
         return default
     return coerce_to_number(v)
+
+
+def _int_arg(v, default=None):
+    """A numeric argument truncated to int."""
+    n = _num_arg(v, default)
+    return n if isinstance(n, ErrorValue) else math.trunc(n)
 
 
 def _closure_arg(v, arity):
@@ -99,19 +94,7 @@ def _map(ctx, *args):
     fn = _closure_arg(fn, len(arrays))
     if isinstance(fn, ErrorValue):
         return fn
-    nr, nc = common_shape(arrays)
-    out = []
-    for r in range(nr):
-        row = []
-        for c in range(nc):
-            cells = [cell_in(a, (nr, nc), r, c) for a in arrays]
-            err = _first_error(cells)
-            if err is not None:
-                row.append(err)
-                continue
-            row.append(_scalar_or_calc(apply_closure(fn, cells, ctx)))
-        out.append(tuple(row))
-    result = Array(out)
+    result = lift_elementwise(lambda *cells: _scalar_or_calc(apply_closure(fn, cells, ctx)), arrays)
     return result.at(0, 0) if result.shape == (1, 1) else result
 
 
@@ -652,6 +635,48 @@ def _index(ctx, array, r, c=OMITTED):
     if not (1 <= i <= arr.n_rows and 1 <= j <= arr.n_cols):
         return REF_ERROR
     return arr.at(i - 1, j - 1)
+
+
+@register("IF", 2, 3, raw=True)
+def _if(ctx, env, args):
+    """A scalar condition evaluates only the chosen branch. An array condition
+    evaluates both and selects per cell; an error in a branch cell surfaces
+    only where that branch is selected."""
+    then_arg = args[1]
+    else_arg = args[2] if len(args) > 2 else E.OMITTED_ARG
+    cond = evaluate(args[0], env, ctx)
+    if isinstance(cond, ErrorValue):
+        return cond
+    if isinstance(cond, Array):
+        operands = (cond, _branch_value(then_arg, env, ctx), _branch_value(else_arg, env, ctx))
+        nr, nc = common_shape(operands)
+        out = []
+        for r in range(nr):
+            row = []
+            for c in range(nc):
+                cc, tc, ec = (cell_in(v, (nr, nc), r, c) for v in operands)
+                row.append(_select_cell(cc, tc, ec))
+            out.append(tuple(row))
+        return Array(out)
+    flag = coerce_to_bool(cond)
+    if isinstance(flag, ErrorValue):
+        return flag
+    return _branch_value(then_arg if flag else else_arg, env, ctx)
+
+
+def _branch_value(arg, env, ctx):
+    if arg is E.OMITTED_ARG:
+        return False
+    return evaluate(arg, env, ctx)
+
+
+def _select_cell(cond, then_v, else_v):
+    flag = coerce_to_bool(cond)
+    if isinstance(flag, ErrorValue):
+        return flag
+    chosen = then_v if flag else else_v
+    # Array cells hold scalars and errors only; a lambda cannot be one.
+    return CALC_ERROR if isinstance(chosen, Closure) else chosen
 
 
 @register("ROW", 1, 1, raw=True)

@@ -546,3 +546,54 @@ def test_overflowing_cell_does_not_abort_recalculation():
     assert wb.cell_value("Sheet1", 1, 1) == 2.0
     assert kind(wb.cell_value("Sheet1", 2, 1)) == ErrorKind.NUM
     assert kind(wb.cell_value("Sheet1", 3, 1)) == ErrorKind.NUM
+
+
+# -- spill reads, totality, names and unwiring ----------------------------------
+
+
+def test_spill_array_returns_the_placed_array_without_copying():
+    wb = Workbook()
+    wb.set_cell("B1", "=SEQUENCE(4)")
+    wb.recalculate()
+    first = wb.spill_array("Sheet1", 1, 2)
+    assert first is wb.spill_array("Sheet1", 1, 2)
+    assert first.origin == ("sheet1", 1, 2)
+    assert wb.evaluate_formula("=INDEX(B1#, 3)") == 3.0
+
+
+def test_exception_in_a_builtin_is_num_error_everywhere():
+    # The pad count does not fit an index-sized integer; nothing is allocated.
+    wb = Workbook()
+    wb.set_cell("A1", "=WRAPROWS({1,2},1e308)")
+    wb.set_cell("A2", "=1+1")
+    wb.recalculate()
+    assert kind(wb.cell_value("Sheet1", 1, 1)) == ErrorKind.NUM
+    assert wb.cell_value("Sheet1", 2, 1) == 2.0
+    assert kind(wb.evaluate_formula("=WRAPROWS({1,2},1e308)")) == ErrorKind.NUM
+
+
+def test_define_name_string_follows_set_cell_rule():
+    wb = Workbook()
+    wb.define_name("t", "hello")
+    wb.define_name("n", "=2")
+    wb.define_name("v", "{1,2}")
+    assert wb.evaluate_formula("=t") == "hello"
+    assert wb.evaluate_formula("=n") == 2.0
+    assert wb.evaluate_formula("=SUM(v)") == 3.0
+
+
+def test_cell_rewired_away_from_name_is_not_reevaluated():
+    wb = Workbook()
+    wb.define_name("foo", "=1")
+    wb.set_cell("A1", "=foo+1")
+    wb.set_cell("A2", "=foo+2")
+    wb.recalculate()
+    wb.set_cell("A1", "=5")
+    wb.recalculate()
+    wb.define_name("foo", "=10")
+    report = wb.recalculate()
+    assert report.evaluated == 1
+    assert wb.cell_value("Sheet1", 1, 1) == 5.0
+    assert wb.cell_value("Sheet1", 2, 1) == 12.0
+    wb.clear_cell("A2")
+    assert "foo" not in wb._name_refs

@@ -158,6 +158,31 @@ def test_if_condition_error_propagates(wb):
     assert kind(wb.evaluate_formula("=IF(1/0, 1, 2)")) == ErrorKind.DIV0
 
 
+def test_if_is_a_registry_builtin(wb):
+    from gridlambda.functions import registry
+
+    entry = registry()["if"]
+    assert (entry.min_args, entry.max_args, entry.raw) == (2, 3, True)
+    out = wb.evaluate_formula("=IF(TRUE)")
+    assert kind(out) == ErrorKind.VALUE and out.detail == "IF expects 2..3 arguments"
+
+
+# -- call resolution -------------------------------------------------------------
+
+
+def test_unknown_callee_is_an_unknown_name(wb):
+    out = wb.evaluate_formula("=nosuchλ(1)")
+    assert kind(out) == ErrorKind.NAME and out.detail == "unknown name 'nosuchλ'"
+
+
+def test_callee_resolves_binding_before_defined_name(wb):
+    wb.define_name("f", "=LAMBDA(x, x + 1)")
+    assert wb.evaluate_formula("=f(1)") == 2.0
+    assert wb.evaluate_formula("=LET(f, LAMBDA(x, x * 10), f(1))") == 10.0
+    # A builtin wins in call position even against a LET binding of its name.
+    assert wb.evaluate_formula("=LET(sum, 5, SUM(sum, 1))") == 6.0
+
+
 # -- recursion ------------------------------------------------------------------
 
 
