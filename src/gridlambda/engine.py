@@ -7,12 +7,13 @@ shift cell/anchor relationships mid-pass, so recalculation iterates to a
 fixpoint (bounded) re-dirtying readers of any cell whose exposure changed.
 
 Deep lambda recursion needs far more Python stack than the default 8 MB, so
-evaluation entry points run inside a worker thread with a large stack.
+evaluation entry points run on one long-lived worker thread with a large stack.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import queue
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -83,28 +84,64 @@ class CalcReport:
     errors: list = field(default_factory=list)
 
 
-def run_deep(fn, depth_limit: int = 1024):
-    """Run ``fn`` on a thread whose stack fits ``depth_limit`` lambda frames."""
-    frames = depth_limit * _FRAMES_PER_DEPTH + 50_000
-    stack = min(frames * _STACK_BYTES_PER_FRAME + (64 << 20), 1 << 31)
-    box: dict = {}
+class _EvalWorker:
+    """A long-lived thread whose stack fits ``depth_limit`` lambda frames. It
+    runs submitted calls one at a time until it is sent ``None``."""
 
-    def target():
-        if sys.getrecursionlimit() < frames:
-            sys.setrecursionlimit(frames)
+    def __init__(self, depth_limit: int):
+        self.depth_limit = depth_limit
+        self.frames = depth_limit * _FRAMES_PER_DEPTH + 50_000
+        self.jobs = queue.SimpleQueue()
+        stack = min(self.frames * _STACK_BYTES_PER_FRAME + (64 << 20), 1 << 31)
+        # threading.stack_size is process-wide; callers hold _worker_lock.
+        old = threading.stack_size()
+        threading.stack_size(stack)
         try:
-            box["value"] = fn()
-        except BaseException as exc:  # re-raised on the calling thread
-            box["error"] = exc
+            self.thread = threading.Thread(target=self._serve, name="gridlambda-eval", daemon=True)
+            self.thread.start()
+        finally:
+            threading.stack_size(old)
 
-    old = threading.stack_size()
-    threading.stack_size(stack)
-    try:
-        worker = threading.Thread(target=target, name="gridlambda-eval")
-        worker.start()
-    finally:
-        threading.stack_size(old)
-    worker.join()
+    def _serve(self):
+        _on_worker.active = True
+        while (job := self.jobs.get()) is not None:
+            fn, box, done = job
+            if sys.getrecursionlimit() < self.frames:
+                sys.setrecursionlimit(self.frames)
+            try:
+                box["value"] = fn()
+            except BaseException as exc:  # re-raised on the calling thread
+                box["error"] = exc
+            done.release()
+
+
+_worker: _EvalWorker | None = None
+_worker_lock = threading.Lock()
+_on_worker = threading.local()
+
+
+def run_deep(fn, depth_limit: int = 1024):
+    """Run ``fn`` on the evaluation worker, a thread whose stack fits
+    ``depth_limit`` lambda frames, and return its result or raise its
+    exception. The worker starts on first use; a larger ``depth_limit``
+    replaces it with a bigger one, and a call made on a worker runs inline."""
+    global _worker
+    if getattr(_on_worker, "active", False):
+        return fn()
+    box: dict = {}
+    done = threading.Lock()
+    done.acquire()
+    # The job is queued under the lock, so it cannot land behind the None
+    # that a concurrent replacement sends to this worker. A forked child
+    # inherits _worker but not its thread, hence the liveness check.
+    with _worker_lock:
+        worker = _worker
+        if worker is None or worker.depth_limit < depth_limit or not worker.thread.is_alive():
+            if worker is not None:
+                worker.jobs.put(None)
+            worker = _worker = _EvalWorker(depth_limit)
+        worker.jobs.put((fn, box, done))
+    done.acquire()
     if "error" in box:
         raise box["error"]
     return box.get("value")

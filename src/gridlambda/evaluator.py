@@ -153,11 +153,14 @@ def _numeric_kernel(op):
     overflow, a domain error or a non-finite result is #NUM!."""
 
     def kernel(a, b):
-        a, b = coerce_to_number(a), coerce_to_number(b)
-        if isinstance(a, ErrorValue):
-            return a
-        if isinstance(b, ErrorValue):
-            return b
+        if type(a) is not float:
+            a = coerce_to_number(a)
+            if isinstance(a, ErrorValue):
+                return a
+        if type(b) is not float:
+            b = coerce_to_number(b)
+            if isinstance(b, ErrorValue):
+                return b
         try:
             return _finite_or_num_error(op(a, b))
         except ZeroDivisionError:
@@ -229,58 +232,44 @@ def _num_percent(a):
 
 
 def evaluate(expr, env: Environment, ctx: EvalContext):
-    match expr:
-        case E.NumberLit(value=v):
-            return v
-        case E.TextLit(value=v):
-            return v
-        case E.BoolLit(value=v):
-            return v
-        case E.ErrorLit(value=v):
-            return v
-        case E.ArrayLit(rows=rows):
-            return Array(rows)
-        case E.NameRef(name=name):
-            return _eval_name(name, env, ctx)
-        case E.CellRef():
-            return _eval_cell_ref(expr, ctx)
-        case E.RangeRef():
-            return _eval_range_ref(expr, ctx)
-        case E.SpillRef(target=target):
-            return _eval_spill_ref(target, env, ctx)
-        case E.ImplicitIntersect(inner=inner):
-            return _eval_intersect(inner, env, ctx)
-        case E.Call(callee=callee, args=args):
-            return _eval_call(callee, args, env, ctx)
-        case E.Let(bindings=bindings, body=body):
-            return _eval_let(bindings, body, env, ctx)
-        case E.Lambda(params=params, body=body):
-            return Closure(params, body, env)
-        case E.BinaryOp(op=op, left=left, right=right):
-            lhs = evaluate(left, env, ctx)
-            rhs = evaluate(right, env, ctx)
-            if isinstance(lhs, Closure) or isinstance(rhs, Closure):
-                return VALUE_ERROR
-            return lift_elementwise(_BINARY_KERNELS[op], (lhs, rhs))
-        case E.UnaryOp(op=op, operand=operand):
-            val = evaluate(operand, env, ctx)
-            if op == "+":
-                return val
-            if isinstance(val, Closure):
-                return VALUE_ERROR
-            return lift_elementwise(_num_neg, (val,))
-        case E.PercentPostfix(operand=operand):
-            val = evaluate(operand, env, ctx)
-            if isinstance(val, Closure):
-                return VALUE_ERROR
-            return lift_elementwise(_num_percent, (val,))
-        case _ if expr is E.OMITTED_ARG:
-            return OMITTED
-        case _:
-            raise TypeError(f"cannot evaluate {expr!r}")
+    handler = _DISPATCH.get(type(expr))
+    if handler is None:
+        raise TypeError(f"cannot evaluate {expr!r}")
+    return handler(expr, env, ctx)
 
 
-def _eval_name(name: str, env: Environment, ctx: EvalContext):
+def _literal(expr, env: Environment, ctx: EvalContext):
+    return expr.value
+
+
+def _eval_binary(expr: E.BinaryOp, env: Environment, ctx: EvalContext):
+    lhs = evaluate(expr.left, env, ctx)
+    rhs = evaluate(expr.right, env, ctx)
+    if type(lhs) is float and type(rhs) is float:
+        return _BINARY_KERNELS[expr.op](lhs, rhs)
+    if isinstance(lhs, Closure) or isinstance(rhs, Closure):
+        return VALUE_ERROR
+    return lift_elementwise(_BINARY_KERNELS[expr.op], (lhs, rhs))
+
+
+def _eval_unary(expr: E.UnaryOp, env: Environment, ctx: EvalContext):
+    val = evaluate(expr.operand, env, ctx)
+    if expr.op == "+":
+        return val
+    if isinstance(val, Closure):
+        return VALUE_ERROR
+    return lift_elementwise(_num_neg, (val,))
+
+
+def _eval_percent(expr: E.PercentPostfix, env: Environment, ctx: EvalContext):
+    val = evaluate(expr.operand, env, ctx)
+    if isinstance(val, Closure):
+        return VALUE_ERROR
+    return lift_elementwise(_num_percent, (val,))
+
+
+def _eval_name(expr: E.NameRef, env: Environment, ctx: EvalContext):
+    name = expr.name
     binding = env.lookup(name)
     if binding is not None:
         return _resolve_binding(name, binding, ctx)
@@ -306,18 +295,18 @@ def _resolve_binding(name: str, binding: Binding, ctx: EvalContext):
     return value
 
 
-def _eval_let(bindings, body, env: Environment, ctx: EvalContext):
+def _eval_let(expr: E.Let, env: Environment, ctx: EvalContext):
     # Each binding opens a frame chained onto the previous one, so a binding
     # expression sees earlier names only.
     current = env
-    for name, value_expr in bindings:
+    for name, value_expr in expr.bindings:
         frame = Environment(current)
         frame.define(name, Binding(value_expr, frame))
         current = frame
-    return evaluate(body, current, ctx)
+    return evaluate(expr.body, current, ctx)
 
 
-def _eval_cell_ref(ref: E.CellRef, ctx: EvalContext):
+def _eval_cell_ref(ref: E.CellRef, env: Environment, ctx: EvalContext):
     wb = ctx.workbook
     if wb is None:
         return REF_ERROR
@@ -325,7 +314,7 @@ def _eval_cell_ref(ref: E.CellRef, ctx: EvalContext):
     return wb.cell_value(sheet, ref.row, ref.col)
 
 
-def _eval_range_ref(ref: E.RangeRef, ctx: EvalContext):
+def _eval_range_ref(ref: E.RangeRef, env: Environment, ctx: EvalContext):
     wb = ctx.workbook
     if wb is None:
         return REF_ERROR
@@ -333,11 +322,11 @@ def _eval_range_ref(ref: E.RangeRef, ctx: EvalContext):
     return wb.range_array(sheet, ref.start.row, ref.start.col, ref.end.row, ref.end.col)
 
 
-def _eval_spill_ref(target, env: Environment, ctx: EvalContext):
+def _eval_spill_ref(expr: E.SpillRef, env: Environment, ctx: EvalContext):
     wb = ctx.workbook
     if wb is None:
         return REF_ERROR
-    anchor, _ = _resolve_spill_target(target, wb.lookup_name)
+    anchor, _ = _resolve_spill_target(expr.target, wb.lookup_name)
     if isinstance(anchor, ErrorValue):
         return anchor
     arr = wb.spill_array(anchor.sheet or ctx.current_sheet(), anchor.row, anchor.col)
@@ -368,8 +357,8 @@ def _resolve_spill_target(target, lookup_name):
     return REF_ERROR, keys
 
 
-def _eval_intersect(inner, env: Environment, ctx: EvalContext):
-    value = evaluate(inner, env, ctx)
+def _eval_intersect(expr: E.ImplicitIntersect, env: Environment, ctx: EvalContext):
+    value = evaluate(expr.inner, env, ctx)
     if isinstance(value, ErrorValue):
         return value
     if not isinstance(value, Array):
@@ -394,10 +383,11 @@ def _eval_intersect(inner, env: Environment, ctx: EvalContext):
     return VALUE_ERROR
 
 
-def _eval_call(callee, args, env: Environment, ctx: EvalContext):
+def _eval_call(expr: E.Call, env: Environment, ctx: EvalContext):
     # Call position resolves built-ins first (so a LET name like "year"
     # coexists with the YEAR function); any other callee evaluates like a
     # value: lexical bindings, then workbook names.
+    callee, args = expr.callee, expr.args
     if isinstance(callee, E.NameRef):
         builtin = BUILTINS.get(callee.name.casefold())
         if builtin is not None:
@@ -442,3 +432,26 @@ def _call_builtin(builtin: Builtin, args, env: Environment, ctx: EvalContext):
         return builtin.impl(ctx, env, args)
     # Builtins receive error values unfiltered and decide propagation themselves.
     return builtin.impl(ctx, *[evaluate(a, env, ctx) for a in args])
+
+
+# One handler per node class; ``evaluate`` looks up ``type(expr)`` exactly,
+# so a subclass of a node needs an entry of its own.
+_DISPATCH = {
+    E.NumberLit: _literal,
+    E.TextLit: _literal,
+    E.BoolLit: _literal,
+    E.ErrorLit: _literal,
+    E.ArrayLit: lambda expr, env, ctx: Array(expr.rows),
+    E.NameRef: _eval_name,
+    E.CellRef: _eval_cell_ref,
+    E.RangeRef: _eval_range_ref,
+    E.SpillRef: _eval_spill_ref,
+    E.ImplicitIntersect: _eval_intersect,
+    E.Call: _eval_call,
+    E.Let: _eval_let,
+    E.Lambda: lambda expr, env, ctx: Closure(expr.params, expr.body, env),
+    E.BinaryOp: _eval_binary,
+    E.UnaryOp: _eval_unary,
+    E.PercentPostfix: _eval_percent,
+    type(E.OMITTED_ARG): lambda expr, env, ctx: OMITTED,
+}

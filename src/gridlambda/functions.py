@@ -215,8 +215,11 @@ def _vstack(ctx, *args):
     width = max(b.n_cols for b in blocks)
     rows = []
     for b in blocks:
-        for row in b.rows:
-            rows.append(tuple(row) + (NA,) * (width - len(row)))
+        if b.n_cols == width:
+            rows.extend(b.rows)
+        else:
+            pad = (NA,) * (width - b.n_cols)
+            rows.extend(row + pad for row in b.rows)
     return Array(rows)
 
 
@@ -320,7 +323,7 @@ def _sequence(ctx, rows, cols=OMITTED, start=OMITTED, step=OMITTED):
         return delta
     return Array(
         tuple(
-            tuple(first + delta * (r * nc + c) for c in range(nc))
+            tuple(_finite_or_num_error(first + delta * (r * nc + c)) for c in range(nc))
             for r in range(nr)
         )
     )
@@ -618,10 +621,9 @@ def _index(ctx, array, r, c=OMITTED):
         return i
     if c is OMITTED or c is EMPTY:
         if arr.is_vector():
-            flat = arr.column()
-            if not (1 <= i <= len(flat)):
+            if not (1 <= i <= arr.n_rows * arr.n_cols):
                 return REF_ERROR
-            return flat[i - 1]
+            return arr.rows[i - 1][0] if arr.n_cols == 1 else arr.rows[0][i - 1]
         if not (1 <= i <= arr.n_rows):
             return REF_ERROR
         origin = None
@@ -729,7 +731,7 @@ def _convolve(ctx, a, b):
     if isinstance(vb, ErrorValue):
         return vb
     out = numerics.convolve_fft(va[0], vb[0])
-    values = [float(x) for x in out]
+    values = [_finite_or_num_error(float(x)) for x in out]
     return Array.col(values) if va[1] else Array.row(values)
 
 

@@ -78,9 +78,11 @@ def convolve_fft(a, b) -> np.ndarray:
     size = 1
     while size < out_len:
         size *= 2
-    fa = fft(np.concatenate([a, np.zeros(size - n)]))
-    fb = fft(np.concatenate([b, np.zeros(size - m)]))
-    product = fft(fa * fb, inverse=True)
+    # Huge inputs overflow to inf and nan here; callers check the result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fa = fft(np.concatenate([a, np.zeros(size - n)]))
+        fb = fft(np.concatenate([b, np.zeros(size - m)]))
+        product = fft(fa * fb, inverse=True)
     return product[:out_len].real
 
 

@@ -105,15 +105,16 @@ class Array:
     __slots__ = ("rows", "n_rows", "n_cols", "origin")
 
     def __init__(self, rows, origin=None):
-        rows = tuple(tuple(r) for r in rows)
+        # tuple() returns a tuple argument itself, so rows that already are
+        # tuples are shared, not copied.
+        rows = tuple(map(tuple, rows))
         if not rows or not rows[0]:
             raise ValueError("arrays must be at least 1x1")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
+        if len(set(map(len, rows))) != 1:
             raise ValueError("array rows must have equal length")
         self.rows = rows
         self.n_rows = len(rows)
-        self.n_cols = width
+        self.n_cols = len(rows[0])
         self.origin = origin
 
     @property
@@ -381,18 +382,34 @@ def lift_elementwise(op: Callable, args) -> object:
     Error cells pass through unchanged; if every argument is scalar the
     result is scalar. ``op`` receives scalar (non-error) cells only.
     """
-    if not any(isinstance(a, Array) for a in args):
+    # common_shape inlined: this runs once per operator on array operands.
+    nr = nc = 0
+    for a in args:
+        if isinstance(a, Array):
+            nr, nc = max(nr, a.n_rows), max(nc, a.n_cols)
+    if not nr:
         for a in args:
             if isinstance(a, ErrorValue):
                 return a
         return op(*args)
-    nr, nc = common_shape(args)
     out = []
-    for r in range(nr):
+    for rows in zip(*[_broadcast_rows(a, nr, nc) for a in args]):
         row = []
-        for c in range(nc):
-            cells = [cell_in(a, (nr, nc), r, c) for a in args]
-            err = next((x for x in cells if isinstance(x, ErrorValue)), None)
-            row.append(err if err is not None else op(*cells))
-        out.append(tuple(row))
+        for cells in zip(*rows):
+            for x in cells:
+                if isinstance(x, ErrorValue):
+                    row.append(x)
+                    break
+            else:
+                row.append(op(*cells))
+        out.append(row)
     return Array(out)
+
+
+def _broadcast_rows(v, nr: int, nc: int):
+    """Operand ``v`` stretched to ``nr`` rows of ``nc`` cells (see `cell_in`)."""
+    if not isinstance(v, Array):
+        return [(v,) * nc] * nr
+    if v.n_rows == nr and v.n_cols == nc:
+        return v.rows
+    return [tuple(cell_in(v, (nr, nc), r, c) for c in range(nc)) for r in range(nr)]

@@ -1,10 +1,12 @@
 """Workbook recalculation, spill lifecycle, dependency graph, file format."""
 
 import random
+import sys
+import threading
 
 import pytest
 
-from gridlambda import NameCollision, Workbook, WorkbookFormatError, load_workbook_text
+from gridlambda import NameCollision, Workbook, WorkbookFormatError, engine, load_workbook_text
 from gridlambda.values import DateSerial, EMPTY, ErrorKind, ErrorValue
 
 
@@ -597,3 +599,80 @@ def test_cell_rewired_away_from_name_is_not_reevaluated():
     assert wb.cell_value("Sheet1", 2, 1) == 12.0
     wb.clear_cell("A2")
     assert "foo" not in wb._name_refs
+
+
+# -- the evaluation worker --------------------------------------------------------
+
+
+def bounded(fn, seconds=30):
+    """Call ``fn`` on a helper thread and fail, rather than hang, if it blocks."""
+    box = []
+    helper = threading.Thread(target=lambda: box.append(fn()), daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), "run_deep did not return"
+    return box[0]
+
+
+def test_run_deep_reuses_one_worker_thread():
+    engine.run_deep(lambda: None)
+    threads = threading.active_count()
+    workers = {engine.run_deep(threading.current_thread) for _ in range(50)}
+    assert len(workers) == 1 and threading.current_thread() not in workers
+    assert threading.active_count() == threads
+    wb = Workbook()
+    wb.set_cell("A1", 2.0)
+    for _ in range(20):
+        wb.recalculate()
+        assert wb.evaluate_formula("=A1*3") == 6.0
+    assert threading.active_count() == threads
+
+
+def test_run_deep_nested_call_runs_inline():
+    def outer():
+        return threading.get_ident(), engine.run_deep(threading.get_ident)
+
+    worker, nested = bounded(lambda: engine.run_deep(outer))
+    assert worker == nested
+
+
+def test_run_deep_reraises_on_the_caller():
+    with pytest.raises(ZeroDivisionError):
+        engine.run_deep(lambda: 1 / 0)
+    assert engine.run_deep(lambda: 7) == 7
+
+
+def test_larger_depth_limit_replaces_the_worker():
+    engine.run_deep(lambda: None)
+    old = engine._worker
+    bigger = old.depth_limit + 64
+    ident = bounded(lambda: engine.run_deep(threading.get_ident, bigger))
+    assert engine._worker is not old and engine._worker.depth_limit == bigger
+    assert ident == engine._worker.thread.ident
+    old.thread.join(10)
+    assert not old.thread.is_alive()
+    # A smaller limit runs on the bigger worker.
+    assert engine.run_deep(threading.get_ident, 32) == ident
+
+
+def test_run_deep_concurrent_callers_while_the_worker_is_replaced():
+    base = engine.run_deep(lambda: engine._worker.depth_limit)
+    results = []
+
+    def caller(k):
+        for i in range(60):
+            # Rising limits make callers replace the worker under each other.
+            results.append(engine.run_deep(lambda: (k, i), base + i) == (k, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,), daemon=True) for k in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+        assert not any(t.is_alive() for t in callers), "a caller never got its result"
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 240 and all(results)

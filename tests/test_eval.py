@@ -243,6 +243,33 @@ def test_depth_never_exceeded_on_deep_but_legal_recursion():
     assert not any(isinstance(c, ErrorValue) for c in out.column())
 
 
+def test_depth_limit_holds_on_every_call_to_the_worker():
+    wb = recur_workbook(depth_limit=32)
+    rates = "{" + ";".join(["1%"] * 64) + "}"
+    for _ in range(3):
+        out = wb.evaluate_formula(f"=Recurλ(1000, {rates})")
+        assert any(isinstance(c, ErrorValue) and c.kind == ErrorKind.NUM for c in out.column())
+    assert wb.evaluate_formula("=Recurλ(1000, {1%;2%})").shape == (3, 1)
+
+
+# -- dispatch ----------------------------------------------------------------------
+
+
+def test_evaluate_rejects_a_non_expression():
+    from gridlambda.evaluator import Environment, EvalContext, evaluate
+
+    with pytest.raises(TypeError):
+        evaluate(object(), Environment(), EvalContext())
+
+
+def test_evaluate_omitted_argument():
+    from gridlambda.evaluator import Environment, EvalContext, evaluate
+    from gridlambda.expr import OMITTED_ARG
+    from gridlambda.values import OMITTED
+
+    assert evaluate(OMITTED_ARG, Environment(), EvalContext()) is OMITTED
+
+
 # -- trace format ----------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import datetime as dt
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +180,16 @@ def test_vstack_ragged_pads_na(wb):
     assert out.at(1, 0) == 9.0 and kind(out.at(1, 1)) == ErrorKind.NA
 
 
+def test_vstack_shares_full_width_rows():
+    from gridlambda.functions import _vstack
+
+    wide = Array(((1.0, 2.0), (3.0, 4.0)))
+    out = _vstack(None, wide, Array(((9.0,),)), wide)
+    assert out.shape == (5, 2)
+    assert all(out.rows[r] is wide.rows[r % 3] for r in (0, 1, 3, 4))
+    assert out.rows[2][0] == 9.0 and kind(out.rows[2][1]) == ErrorKind.NA
+
+
 def test_take_drop_examples(wb):
     assert col(wb.evaluate_formula("=DROP({1;2;3}, -1)")) == [1.0, 2.0]
     assert col(wb.evaluate_formula("=TAKE({1;2;3}, 2)")) == [1.0, 2.0]
@@ -231,6 +242,13 @@ def test_sequence(wb):
     assert wb.evaluate_formula("=SEQUENCE(2, 2, 10, 5)").rows == ((10.0, 15.0), (20.0, 25.0))
     assert col(wb.evaluate_formula("=SEQUENCE(2, , 3, 4)")) == [3.0, 7.0]
     assert kind(wb.evaluate_formula("=SEQUENCE(0)")) == ErrorKind.VALUE
+
+
+def test_sequence_overflow_is_num_error(wb):
+    out = wb.evaluate_formula("=SEQUENCE(2, 1, 1e308, 1e308)")
+    assert out.at(0, 0) == 1e308
+    assert kind(out.at(1, 0)) == ErrorKind.NUM
+    assert kind(wb.evaluate_formula("=SEQUENCE(1, 3, -1e308, -1e308)").at(0, 2)) == ErrorKind.NUM
 
 
 # -- FILTER / SORT -----------------------------------------------------------------
@@ -425,6 +443,17 @@ def test_index_vector(wb):
     assert kind(wb.evaluate_formula("=INDEX({1;2}, 0)")) == ErrorKind.REF
 
 
+@pytest.mark.parametrize("literal", ["{7}", "{1,2,3,4}", "{1;2;3;4}", "{#N/A,2}"])
+def test_index_vector_reads_the_flattened_cell(wb, literal):
+    flat = col(wb.evaluate_formula(f"={literal}"))
+    for i in range(0, len(flat) + 2):
+        got = wb.evaluate_formula(f"=INDEX({literal}, {i})")
+        if 1 <= i <= len(flat):
+            assert got == flat[i - 1]
+        else:
+            assert kind(got) == ErrorKind.REF
+
+
 def test_index_whole_row_of_matrix(wb):
     out = wb.evaluate_formula("=INDEX({1,2;3,4}, 2)")
     assert out.rows == ((3.0, 4.0),)
@@ -454,6 +483,14 @@ def test_convolve_matches_direct_oracle(wb):
     assert out.n_cols == 1  # column in, column out
     row_out = wb.evaluate_formula("=CONVOLVE({1,2}, {3,4})")
     assert row_out.n_rows == 1
+
+
+def test_convolve_overflow_is_num_error(wb):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = wb.evaluate_formula("=CONVOLVE({1e308,1e308}, {1e308,1})")
+    assert out.shape == (1, 3)
+    assert all(kind(c) == ErrorKind.NUM for c in col(out))
 
 
 def test_convolve_needs_vectors(wb):

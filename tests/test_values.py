@@ -11,8 +11,10 @@ from gridlambda.values import (
     ErrorKind,
     ErrorValue,
     broadcast_shape,
+    cell_in,
     coerce_to_number,
     coerce_to_text,
+    common_shape,
     compare_scalars,
     lift_elementwise,
     render_cell,
@@ -132,6 +134,31 @@ def test_lift_output_shape_is_broadcast_shape(a, b):
     assert out.shape == broadcast_shape(a.shape, b.shape)
 
 
+def lift_by_cell(op, args):
+    """The definition of lifting: each cell of the broadcast shape read with
+    `cell_in`, the first error operand winning."""
+    if not any(isinstance(a, Array) for a in args):
+        err = next((a for a in args if isinstance(a, ErrorValue)), None)
+        return err if err is not None else op(*args)
+    shape = common_shape(args)
+    out = []
+    for r in range(shape[0]):
+        row = []
+        for c in range(shape[1]):
+            cells = [cell_in(a, shape, r, c) for a in args]
+            err = next((x for x in cells if isinstance(x, ErrorValue)), None)
+            row.append(err if err is not None else op(*cells))
+        out.append(row)
+    return Array(out)
+
+
+@given(st.lists(st.one_of(scalars, small_arrays()), min_size=1, max_size=3))
+def test_lift_matches_per_cell_definition(args):
+    # The op returns its operands, so every cell shows which inputs reached it;
+    # error cells compare by kind, so the first error operand must win.
+    assert lift_elementwise(lambda *cells: cells, args) == lift_by_cell(lambda *cells: cells, args)
+
+
 @given(small_arrays())
 def test_lift_maps_error_cells_identically(arr):
     out = lift_elementwise(lambda x: coerce_to_number(x), (arr,))
@@ -200,3 +227,11 @@ def test_rectangularity_enforced():
         Array(((1.0, 2.0), (3.0,)))
     with pytest.raises(ValueError):
         Array(())
+    with pytest.raises(ValueError):
+        Array([()])
+    with pytest.raises(ValueError):
+        Array([[1.0], [2.0, 3.0]])
+    with pytest.raises(ValueError):
+        Array(((), (1.0,)))
+    with pytest.raises(ValueError):
+        Array(((1.0,), ()))
