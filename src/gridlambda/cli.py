@@ -172,7 +172,7 @@ def cmd_repl(args) -> int:
                 value = wb.evaluate_formula(line, caller=(current_sheet.casefold(), 1, 1))
                 _print_grid(_grid_rows(value), "table", sys.stdout)
                 continue
-            done = _apply_statement(wb, line, current_sheet)
+            done = _apply_statement(wb, line, current_sheet, {})
             if done is None:
                 continue
             kind, target = done

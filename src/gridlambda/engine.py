@@ -218,6 +218,7 @@ class Workbook:
             cell.literal = content
         cell.value = None
         self._rewire(addr)
+        self._vacate_for_edit(addr)
         self._dirty.add(addr)
         self._touch_layout(addr)
 
@@ -228,9 +229,7 @@ class Workbook:
         if cell is None:
             return
         self._unwire(addr)
-        for member in self._vacate(addr):
-            for reader in self._deps_in.get(member, ()):
-                self._dirty.add(reader)
+        self._vacate_for_edit(addr)
         del self.cells[addr]
         self._dirty.add(addr)
         for reader in self._deps_in.get(addr, ()):
@@ -257,6 +256,14 @@ class Workbook:
         for addr in sorted(self._name_refs.get(key, ())):
             self._rewire(addr)
             self._dirty.add(addr)
+
+    def _vacate_for_edit(self, addr: Address) -> None:
+        """Drop the spill region of a cell whose content changed and dirty the
+        readers of its members. A stale region would map those members to
+        the cell in ``_effective_preds``, so its new formula could read them
+        as a self edge."""
+        for member in self._vacate(addr):
+            self._dirty.update(self._deps_in.get(member, ()))
 
     def _touch_layout(self, addr: Address) -> None:
         """Content changes can collide with a live region or unblock a failed one."""
@@ -695,8 +702,10 @@ def parse_literal(text: str):
     return raw
 
 
-def _apply_statement(wb: Workbook, line: str, sheet: str):
+def _apply_statement(wb: Workbook, line: str, sheet: str, parsed: dict[str, E.Expr]):
     """Apply one workbook statement; ``sheet`` is the open sheet section.
+    ``parsed`` maps formula text to its tree, so a text met again is not
+    parsed again; trees are immutable, so cells may share one.
 
     Returns ``("sheet", name)``, ``("name", name)`` or ``("cell", address)``,
     or None for a blank or comment line. Raises ``ValueError`` (including
@@ -712,7 +721,12 @@ def _apply_statement(wb: Workbook, line: str, sheet: str):
     if ":=" not in line:
         raise ValueError("expected ':=' assignment")
     lhs, rhs = (part.strip() for part in line.split(":=", 1))
-    content = rhs if _is_formula(rhs) else parse_literal(rhs)
+    if _is_formula(rhs):
+        content = parsed.get(rhs)
+        if content is None:
+            content = parsed[rhs] = parse_formula(rhs)
+    else:
+        content = parse_literal(rhs)
     if lhs.lower().startswith("name "):
         name = lhs[5:].strip()
         wb.define_name(name, content)
@@ -730,9 +744,10 @@ def load_workbook_text(
 ) -> Workbook:
     wb = Workbook(depth_limit=depth_limit, trace=trace)
     current_sheet = wb.default_sheet
+    parsed: dict[str, E.Expr] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         try:
-            done = _apply_statement(wb, raw_line, current_sheet)
+            done = _apply_statement(wb, raw_line, current_sheet, parsed)
         except ValueError as exc:
             raise WorkbookFormatError(str(exc), path, line_no) from exc
         if done is not None and done[0] == "sheet":

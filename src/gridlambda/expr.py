@@ -21,7 +21,7 @@ def col_to_letters(col: int) -> str:
 def letters_to_col(letters: str) -> int:
     col = 0
     for ch in letters.upper():
-        col = col * 26 + (ord(ch) - ord("A") + 1)
+        col = col * 26 + ord(ch) - 64  # "A" is 1
     return col
 
 
@@ -147,10 +147,10 @@ class PercentPostfix(Expr):
 # ---------------------------------------------------------------------------
 # Printing
 
-# Binding strength used to decide where parentheses are required. Postfix
-# ``%``/``#`` bind tightest, then unary sign, then ``^``, ``*`` ``/``,
-# ``+`` ``-``, ``&``, comparisons.
-_BIN_PREC = {
+# Binding strength of each binary operator: the parser climbs it and the
+# printer places parentheses by it. Postfix ``%``/``#`` bind tightest, then
+# unary sign, then ``^``, ``*`` ``/``, ``+`` ``-``, ``&``, comparisons.
+BIN_PREC = {
     "=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
     "&": 2,
     "+": 3, "-": 3,
@@ -235,7 +235,7 @@ def _print_prec(e: Expr) -> tuple[str, int]:
         case UnaryOp(op=op, operand=x):
             return op + _print(x, _PREC_UNARY), _PREC_UNARY
         case BinaryOp(op=op, left=l, right=r):
-            prec = _BIN_PREC[op]
+            prec = BIN_PREC[op]
             # Left-associative: the right child needs parens at equal precedence.
             return (
                 _print(l, prec) + f" {op} " + _print(r, prec + 1),

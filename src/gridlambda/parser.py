@@ -1,13 +1,22 @@
-"""Tokenizer and recursive-descent parser for formula text.
+"""Formula text to ``Expr``: one regular-expression scanner and a
+precedence-climbing parser.
 
-Precedence, tightest first: postfix ``%``/``#``, unary sign and ``@``,
-``^`` (left-associative), ``*`` ``/``, ``+`` ``-``, ``&``, comparisons.
+``tokenize`` matches one compiled pattern per token. Python code decides
+only what a pattern cannot: whether a word with non-ASCII letters ends where
+``_is_ident_char`` says, whether ``#`` is a spill suffix or starts an error
+literal, and that ``$`` appears only in cell references.
+
+Binary operators are parsed by precedence climbing over ``expr.BIN_PREC``,
+the table the printer uses. Tightest first: postfix ``%``/``#``, unary sign
+and ``@``, ``^`` (left-associative), ``*`` ``/``, ``+`` ``-``, ``&``,
+comparisons.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import expr as E
 from .values import Param, error_from_text
@@ -18,9 +27,26 @@ _ERROR_TEXTS = sorted(
     reverse=True,
 )
 
-_TWO_CHAR_OPS = ("<>", "<=", ">=")
-_ONE_CHAR_OPS = "+-*/^&=<>%:"
-_PUNCT = "(),;![]"
+# Each alternative is one token kind; a match also skips leading whitespace.
+# Strings double their quotes; a closing quote is never followed by another.
+# Numbers and cell rows take ASCII digits only.
+_SCANNER = re.compile(
+    r"""\s*(?:
+      (?P<word>(?:[^\W\d]|\$)[$\w.]*)
+    | (?P<op><>|<=|>=|[-+*/^&=<>%:])
+    | (?P<punct>[(),;!\[\]])
+    | (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+    | (?P<text>"[^"]*(?:""[^"]*)*"(?!"))
+    | (?P<at>@)
+    | (?P<array_open>\{)
+    | (?P<array_close>\})
+    | (?P<hash>\#)
+    | (?P<end>\Z)
+    )""",
+    re.VERBOSE,
+)
+_SPACE = re.compile(r"\s*")
+_CELLREF = re.compile(r"(\$?)([A-Za-z]{1,3})(\$?)([1-9][0-9]*)")
 
 
 class LexError(ValueError):
@@ -39,12 +65,14 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     lexeme: str
     start: int
     end: int
+    # The float of a number, the (col_abs, col, row_abs, row) of a cell
+    # reference, else None.
+    value: object = None
 
 
 def _is_ident_start(ch: str) -> bool:
@@ -56,130 +84,80 @@ def _is_ident_char(ch: str) -> bool:
 
 
 def _cellref_parts(word: str):
-    """Split an identifier-like word into (col_abs, letters, row_abs, digits)
-    when it is shaped like a cell reference within grid bounds, else None."""
-    i = 0
-    col_abs = word.startswith("$")
-    if col_abs:
-        i = 1
-    j = i
-    while j < len(word) and word[j].isascii() and word[j].isalpha():
-        j += 1
-    letters = word[i:j]
-    if not letters or len(letters) > 3:
+    """``(col_abs, col, row_abs, row)`` when ``word`` is shaped like a cell
+    reference within grid bounds, else None."""
+    m = _CELLREF.fullmatch(word)
+    if m is None:
         return None
-    row_abs = j < len(word) and word[j] == "$"
-    if row_abs:
-        j += 1
-    digits = word[j:]
-    if not digits or not digits.isdigit() or digits[0] == "0":
-        return None
+    col_abs, letters, row_abs, digits = m.groups()
     col = E.letters_to_col(letters)
     row = int(digits)
     if col > E.GRID_MAX_COLS or row > E.GRID_MAX_ROWS:
         return None
-    return col_abs, col, row_abs, row
+    return col_abs == "$", col, row_abs == "$", row
+
+
+def _word_end(source: str, start: int, end: int) -> int:
+    """Where a word with non-ASCII characters ends under the identifier rules;
+    the scanner's word pattern also takes characters such as ``½`` that no
+    name may hold."""
+    if not (source[start] == "$" or _is_ident_start(source[start])):
+        raise LexError(f"illegal character {source[start]!r}", start)
+    i = start + 1
+    while i < end and (source[i] == "$" or _is_ident_char(source[i])):
+        i += 1
+    return i
 
 
 def tokenize(source: str) -> list[Token]:
     """Lex formula text. Token lexemes plus skipped whitespace tile the input."""
     tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        start = i
-        if ch == '"':
-            i += 1
-            while i < n:
-                if source[i] == '"':
-                    if i + 1 < n and source[i + 1] == '"':
-                        i += 2
-                        continue
-                    break
-                i += 1
-            if i >= n:
+    append = tokens.append
+    match = _SCANNER.match
+    pos = 0
+    while True:
+        m = match(source, pos)
+        if m is None:
+            start = _SPACE.match(source, pos).end()
+            if source[start] == '"':
                 raise LexError("unterminated string", start)
-            i += 1
-            tokens.append(Token("text", source[start:i], start, i))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            i += 1
-            while i < n and source[i].isdigit():
-                i += 1
-            if i < n and source[i] == ".":
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    i = j + 1
-                    while i < n and source[i].isdigit():
-                        i += 1
-            tokens.append(Token("number", source[start:i], start, i))
-            continue
-        if ch == "#":
-            prev = tokens[-1] if tokens else None
-            adjacent = prev is not None and prev.end == i and prev.kind in ("ident", "cellref")
-            if adjacent:
-                tokens.append(Token("spill", "#", i, i + 1))
-                i += 1
-                continue
-            for err_text in _ERROR_TEXTS:
-                if source.startswith(err_text, i) or source[i:i + len(err_text)].upper() == err_text:
-                    tokens.append(Token("error", source[i:i + len(err_text)], i, i + len(err_text)))
-                    i += len(err_text)
-                    break
-            else:
-                raise LexError("illegal character '#'", i)
-            continue
-        if ch == "$" or _is_ident_start(ch):
-            i += 1
-            while i < n and (_is_ident_char(source[i]) or source[i] == "$"):
-                i += 1
-            word = source[start:i]
-            if _cellref_parts(word) is not None:
-                tokens.append(Token("cellref", word, start, i))
+            raise LexError(f"illegal character {source[start]!r}", start)
+        kind = m.lastgroup
+        start = m.start(kind)
+        pos = m.end()
+        if kind == "word":
+            word = source[start:pos]
+            if not word.isascii():
+                pos = _word_end(source, start, pos)
+                word = source[start:pos]
+            parts = _cellref_parts(word)
+            if parts is not None:
+                append(Token("cellref", word, start, pos, parts))
             elif "$" in word:
                 raise LexError(f"illegal '$' in name {word!r}", start)
             elif word.upper() in ("TRUE", "FALSE"):
-                tokens.append(Token("bool", word, start, i))
+                append(Token("bool", word, start, pos))
             else:
-                tokens.append(Token("ident", word, start, i))
-            continue
-        if ch == "@":
-            tokens.append(Token("at", "@", i, i + 1))
-            i += 1
-            continue
-        if ch == "{":
-            tokens.append(Token("array_open", "{", i, i + 1))
-            i += 1
-            continue
-        if ch == "}":
-            tokens.append(Token("array_close", "}", i, i + 1))
-            i += 1
-            continue
-        two = source[i:i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token("op", two, i, i + 2))
-            i += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token("op", ch, i, i + 1))
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, i, i + 1))
-            i += 1
-            continue
-        raise LexError(f"illegal character {ch!r}", i)
-    return tokens
+                append(Token("ident", word, start, pos))
+        elif kind == "number":
+            lexeme = m.group(kind)
+            append(Token("number", lexeme, start, pos, float(lexeme)))
+        elif kind == "hash":
+            prev = tokens[-1] if tokens else None
+            if prev is not None and prev.end == start and prev.kind in ("ident", "cellref"):
+                append(Token("spill", "#", start, pos))
+                continue
+            for err_text in _ERROR_TEXTS:
+                pos = start + len(err_text)
+                if source.startswith(err_text, start) or source[start:pos].upper() == err_text:
+                    append(Token("error", source[start:pos], start, pos))
+                    break
+            else:
+                raise LexError("illegal character '#'", start)
+        elif kind == "end":
+            return tokens
+        else:
+            append(Token(kind, m.group(kind), start, pos))
 
 
 def parse_formula(source: str) -> E.Expr:
@@ -189,115 +167,84 @@ def parse_formula(source: str) -> E.Expr:
     if stripped.startswith("="):
         offset = len(text) - len(stripped) + 1
         text = text[:offset - 1] + " " + text[offset:]
-    tokens = tokenize(text)
-    parser = _Parser(tokens, len(source))
+    parser = _Parser(tokenize(text), len(source))
     node = parser.expression()
     parser.expect_end()
     return node
 
 
-_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
-
-
 class _Parser:
+    """Reads a token list that ends in an ``end`` token at the source length."""
+
     def __init__(self, tokens: list[Token], source_len: int):
         self.tokens = tokens
+        tokens.append(Token("end", "", source_len, source_len))
         self.pos = 0
-        self.source_len = source_len
 
     # -- token helpers
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of formula", self.source_len)
+        tok = self.tokens[self.pos]
+        if tok.kind == "end":
+            raise ParseError("unexpected end of formula", tok.start)
         self.pos += 1
         return tok
 
-    def at_op(self, *lexemes: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "op" and tok.lexeme in lexemes
-
     def at_punct(self, lexeme: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "punct" and tok.lexeme == lexeme
+        tok = self.tokens[self.pos]
+        return tok.kind == "punct" and tok.lexeme == lexeme
 
     def expect_punct(self, lexeme: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "punct" or tok.lexeme != lexeme:
-            offset = tok.start if tok else self.source_len
-            raise ParseError(f"expected {lexeme!r}", offset, expected=(lexeme,))
+        if not self.at_punct(lexeme):
+            raise ParseError(f"expected {lexeme!r}", self.peek().start, expected=(lexeme,))
         return self.next()
 
     def expect_end(self):
         tok = self.peek()
-        if tok is not None:
+        if tok.kind != "end":
             raise ParseError(f"unexpected {tok.lexeme!r}", tok.start)
 
     # -- grammar
 
-    def expression(self) -> E.Expr:
-        node = self.concat()
-        while self.at_op(*_COMPARISONS):
-            op = self.next().lexeme
-            node = E.BinaryOp(op, node, self.concat())
-        return node
-
-    def concat(self) -> E.Expr:
-        node = self.additive()
-        while self.at_op("&"):
-            self.next()
-            node = E.BinaryOp("&", node, self.additive())
-        return node
-
-    def additive(self) -> E.Expr:
-        node = self.multiplicative()
-        while self.at_op("+", "-"):
-            op = self.next().lexeme
-            node = E.BinaryOp(op, node, self.multiplicative())
-        return node
-
-    def multiplicative(self) -> E.Expr:
-        node = self.power()
-        while self.at_op("*", "/"):
-            op = self.next().lexeme
-            node = E.BinaryOp(op, node, self.power())
-        return node
-
-    def power(self) -> E.Expr:
-        # Left-associative per Excel: 2^3^2 is (2^3)^2.
+    def expression(self, min_prec: int = 1) -> E.Expr:
+        """Operands joined by binary operators that bind at least as tightly
+        as ``min_prec``. Every operator is left-associative, so its right
+        operand takes only operators that bind tighter."""
         node = self.unary()
-        while self.at_op("^"):
-            self.next()
-            node = E.BinaryOp("^", node, self.unary())
+        tok = self.tokens[self.pos]
+        while tok.kind == "op":
+            prec = E.BIN_PREC.get(tok.lexeme)
+            if prec is None or prec < min_prec:
+                break
+            self.pos += 1
+            node = E.BinaryOp(tok.lexeme, node, self.expression(prec + 1))
+            tok = self.tokens[self.pos]
         return node
 
     def unary(self) -> E.Expr:
-        if self.at_op("+", "-"):
-            op = self.next().lexeme
-            return E.UnaryOp(op, self.unary())
-        tok = self.peek()
-        if tok is not None and tok.kind == "at":
-            self.next()
+        tok = self.tokens[self.pos]
+        if tok.kind == "op" and tok.lexeme in ("+", "-"):
+            self.pos += 1
+            return E.UnaryOp(tok.lexeme, self.unary())
+        if tok.kind == "at":
+            self.pos += 1
             return E.ImplicitIntersect(self.unary())
         return self.postfix()
 
     def postfix(self) -> E.Expr:
         node = self.primary()
         while True:
-            tok = self.peek()
-            if tok is None:
-                return node
+            tok = self.tokens[self.pos]
             if tok.kind == "spill":
                 if not isinstance(node, (E.NameRef, E.CellRef)):
                     raise ParseError("'#' applies to a name or cell reference", tok.start)
-                self.next()
+                self.pos += 1
                 node = E.SpillRef(node)
             elif tok.kind == "op" and tok.lexeme == "%":
-                self.next()
+                self.pos += 1
                 node = E.PercentPostfix(node)
             elif tok.kind == "punct" and tok.lexeme == "(":
                 node = self.call(node)
@@ -313,15 +260,13 @@ class _Parser:
             while True:
                 args.append(self.argument())
                 tok = self.peek()
-                if tok is None:
-                    raise ParseError("unclosed argument list", self.source_len, expected=(")",))
-                if tok.kind == "punct" and tok.lexeme == ",":
-                    self.next()
-                    continue
-                if tok.kind == "punct" and tok.lexeme == ")":
-                    self.next()
+                if tok.kind == "end":
+                    raise ParseError("unclosed argument list", tok.start, expected=(")",))
+                if tok.kind != "punct" or tok.lexeme not in (",", ")"):
+                    raise ParseError(f"unexpected {tok.lexeme!r} in argument list", tok.start, expected=(",", ")"))
+                self.pos += 1
+                if tok.lexeme == ")":
                     break
-                raise ParseError(f"unexpected {tok.lexeme!r} in argument list", tok.start, expected=(",", ")"))
         if isinstance(callee, E.NameRef):
             upper = callee.name.upper()
             if upper == "LET":
@@ -335,9 +280,9 @@ class _Parser:
 
     def argument(self) -> E.Expr:
         tok = self.peek()
-        if tok is not None and tok.kind == "punct" and tok.lexeme in (",", ")"):
+        if tok.kind == "punct" and tok.lexeme in (",", ")"):
             return E.OMITTED_ARG
-        if tok is not None and tok.kind == "punct" and tok.lexeme == "[":
+        if tok.kind == "punct" and tok.lexeme == "[":
             self.next()
             name_tok = self.next()
             if name_tok.kind != "ident":
@@ -393,11 +338,11 @@ class _Parser:
 
     def primary(self) -> E.Expr:
         tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of formula", self.source_len)
+        if tok.kind == "end":
+            raise ParseError("unexpected end of formula", tok.start)
         if tok.kind == "number":
             self.next()
-            return E.NumberLit(float(tok.lexeme))
+            return E.NumberLit(tok.value)
         if tok.kind == "text":
             self.next()
             return E.TextLit(tok.lexeme[1:-1].replace('""', '"'))
@@ -414,15 +359,12 @@ class _Parser:
         if tok.kind == "cellref":
             return self.reference(sheet=None)
         if tok.kind == "ident":
-            nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-            if nxt is not None and nxt.kind == "punct" and nxt.lexeme == "!":
-                sheet_tok = self.next()
-                self.next()  # "!"
-                ref_tok = self.peek()
-                if ref_tok is None or ref_tok.kind != "cellref":
-                    offset = ref_tok.start if ref_tok else self.source_len
-                    raise ParseError("expected cell reference after sheet name", offset)
-                return self.reference(sheet=sheet_tok.lexeme)
+            nxt = self.tokens[self.pos + 1]
+            if nxt.kind == "punct" and nxt.lexeme == "!":
+                self.pos += 2
+                if self.peek().kind != "cellref":
+                    raise ParseError("expected cell reference after sheet name", self.peek().start)
+                return self.reference(sheet=tok.lexeme)
             self.next()
             return E.NameRef(tok.lexeme)
         if tok.kind == "punct" and tok.lexeme == "(":
@@ -435,19 +377,14 @@ class _Parser:
     def reference(self, sheet: str | None) -> E.Expr:
         tok = self.next()
         nxt = self.peek()
-        if nxt is not None and nxt.kind == "op" and nxt.lexeme == ":":
-            after = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-            if after is not None and after.kind == "cellref":
-                self.next()
-                second = self._cell(self.next(), None)
-                return _normalized_range(self._cell(tok, None), second, sheet)
+        if nxt.kind == "op" and nxt.lexeme == ":" and self.tokens[self.pos + 1].kind == "cellref":
+            second = self._cell(self.tokens[self.pos + 1], None)
+            self.pos += 2
+            return _normalized_range(self._cell(tok, None), second, sheet)
         return self._cell(tok, sheet)
 
     def _cell(self, tok: Token, sheet: str | None) -> E.CellRef:
-        parts = _cellref_parts(tok.lexeme)
-        if parts is None:
-            raise ParseError(f"invalid cell reference {tok.lexeme!r}", tok.start)
-        col_abs, col, row_abs, row = parts
+        col_abs, col, row_abs, row = tok.value
         return E.CellRef(col=col, row=row, col_abs=col_abs, row_abs=row_abs, sheet=sheet)
 
     def array_literal(self) -> E.Expr:
@@ -456,8 +393,8 @@ class _Parser:
         expect_value = True
         while True:
             tok = self.peek()
-            if tok is None:
-                raise ParseError("unclosed array literal", self.source_len, expected=("}",))
+            if tok.kind == "end":
+                raise ParseError("unclosed array literal", tok.start, expected=("}",))
             if tok.kind == "array_close":
                 self.next()
                 break
@@ -488,9 +425,9 @@ class _Parser:
             negate = tok.lexeme == "-"
             tok = self.next()
         if tok.kind == "number":
-            value = float(tok.lexeme)
+            value = tok.value
             nxt = self.peek()
-            if nxt is not None and nxt.kind == "op" and nxt.lexeme == "%":
+            if nxt.kind == "op" and nxt.lexeme == "%":
                 self.next()
                 value /= 100.0
             return -value if negate else value

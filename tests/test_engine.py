@@ -601,6 +601,54 @@ def test_cell_rewired_away_from_name_is_not_reevaluated():
     assert "foo" not in wb._name_refs
 
 
+def test_replacing_a_spilling_formula_matches_a_fresh_load():
+    wb = Workbook()
+    wb.set_cell("C2", "=SEQUENCE(2)")
+    wb.recalculate()
+    wb.set_cell("C2", "=C3+1")
+    wb.recalculate()
+    assert wb.cell_value("Sheet1", 2, 3) == 1.0
+    wb.set_cell("C3", 5.0)
+    wb.recalculate()
+    fresh = load_workbook_text("C2 := =C3+1\nC3 := 5\n")
+    fresh.recalculate()
+    assert grid_snapshot(wb) == grid_snapshot(fresh)
+    assert wb.cell_value("Sheet1", 2, 3) == 6.0
+
+
+def test_replacing_a_spilling_formula_recalculates_member_readers():
+    wb = Workbook()
+    wb.set_cell("A1", "=SEQUENCE(3)")
+    wb.set_cell("B3", "=A3*10")
+    wb.recalculate()
+    assert wb.cell_value("Sheet1", 3, 2) == 30.0
+    wb.set_cell("A1", "=7")
+    wb.recalculate()
+    assert wb.cell_value("Sheet1", 3, 2) == 0.0
+    assert wb.spill_region("A1") is None
+
+
+def test_load_shares_one_tree_per_formula_text():
+    text = (
+        "sheet S1\nA1 := 2\nB1 := =A1*10+x\n"
+        "sheet S2\nA1 := 3\nB1 := =A1*10+x\n"
+        "name x := =1\n"
+    )
+    wb = load_workbook_text(text)
+    wb.recalculate()
+    first, second = wb.address("S1!B1"), wb.address("S2!B1")
+    assert wb.cells[first].formula is wb.cells[second].formula
+    assert wb.cell_value("S1", 1, 2) == 21.0
+    assert wb.cell_value("S2", 1, 2) == 31.0
+    wb.set_cell("S2!A1", 4.0)
+    wb.define_name("x", "=2")
+    wb.recalculate()
+    fresh = load_workbook_text(text.replace("A1 := 3", "A1 := 4").replace("x := =1", "x := =2"))
+    fresh.recalculate()
+    assert grid_snapshot(wb) == grid_snapshot(fresh)
+    assert wb.cell_value("S1", 1, 2) == 22.0
+
+
 # -- the evaluation worker --------------------------------------------------------
 
 

@@ -147,6 +147,57 @@ def test_comparison_chain_left():
     assert shape("=1 < 2 = TRUE") == shape("=(1 < 2) = TRUE")
 
 
+@pytest.mark.parametrize(
+    "src,tree",
+    [
+        ("=-2^2", E.BinaryOp("^", E.UnaryOp("-", E.NumberLit(2.0)), E.NumberLit(2.0))),
+        ("=2^3^2", E.BinaryOp("^", E.BinaryOp("^", E.NumberLit(2.0), E.NumberLit(3.0)), E.NumberLit(2.0))),
+        ("=1&2+3", E.BinaryOp("&", E.NumberLit(1.0), E.BinaryOp("+", E.NumberLit(2.0), E.NumberLit(3.0)))),
+        ("=1=2&3", E.BinaryOp("=", E.NumberLit(1.0), E.BinaryOp("&", E.NumberLit(2.0), E.NumberLit(3.0)))),
+        ("=a<b<c", E.BinaryOp("<", E.BinaryOp("<", E.NameRef("a"), E.NameRef("b")), E.NameRef("c"))),
+        ("=@x#", E.ImplicitIntersect(E.SpillRef(E.NameRef("x")))),
+        ("=5%^2", E.BinaryOp("^", E.PercentPostfix(E.NumberLit(5.0)), E.NumberLit(2.0))),
+        ("=1-2-3*4/5", E.BinaryOp(
+            "-",
+            E.BinaryOp("-", E.NumberLit(1.0), E.NumberLit(2.0)),
+            E.BinaryOp("/", E.BinaryOp("*", E.NumberLit(3.0), E.NumberLit(4.0)), E.NumberLit(5.0)),
+        )),
+    ],
+)
+def test_precedence_trees(src, tree):
+    assert parse_formula(src) == tree
+
+
+def test_parser_and_printer_share_one_precedence_table():
+    assert set(E.BIN_PREC) == {"=", "<>", "<", "<=", ">", ">=", "&", "+", "-", "*", "/", "^"}
+    assert E.BIN_PREC["="] < E.BIN_PREC["&"] < E.BIN_PREC["+"] < E.BIN_PREC["*"] < E.BIN_PREC["^"]
+
+
+@pytest.mark.parametrize(
+    "src,message",
+    [
+        ("=foo(1", "unclosed argument list (offset 6); expected one of: )"),
+        ("=LET(x,1", "unclosed argument list (offset 8); expected one of: )"),
+        ("=foo(1,", "unexpected end of formula (offset 7)"),
+        ("=SUM(1 2)", "unexpected '2' in argument list (offset 7); expected one of: ,, )"),
+        ("=(1", "expected ')' (offset 3); expected one of: )"),
+        ("={1,2", "unclosed array literal (offset 5); expected one of: }"),
+        ("={1,", "unclosed array literal (offset 4); expected one of: }"),
+        ("={1,2 3}", "unexpected '3' in array literal (offset 6); expected one of: ,, ;, }"),
+        ('="abc', "unterminated string (offset 1)"),
+        ('=1 + "a""', "unterminated string (offset 5)"),
+        ("=1+", "unexpected end of formula (offset 3)"),
+        ("=A1:", "unexpected ':' (offset 3)"),
+        ("=Sheet!", "expected cell reference after sheet name (offset 7)"),
+        ("=x #", "illegal character '#' (offset 3)"),
+    ],
+)
+def test_error_messages_and_offsets(src, message):
+    with pytest.raises(ValueError) as err:
+        parse_formula(src)
+    assert str(err.value) == message
+
+
 def _parenthesize(e: E.Expr) -> str:
     """Fully parenthesized rendering: the precedence-free oracle."""
     match e:

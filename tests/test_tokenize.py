@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from gridlambda.parser import LexError, tokenize
+from gridlambda.parser import LexError, Token, parse_formula, tokenize
 
 
 def kinds(source):
@@ -34,6 +34,15 @@ def test_greek_identifier_is_single_token():
 
 def test_empty_input():
     assert tokenize("") == []
+    assert tokenize("  \n ") == []
+
+
+def test_tokens_compare_by_value():
+    assert tokenize("$B$2 + 2.5") == [
+        Token("cellref", "$B$2", 0, 4, (True, 2, True, 2)),
+        Token("op", "+", 5, 6),
+        Token("number", "2.5", 7, 10, 2.5),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -50,6 +59,8 @@ def test_empty_input():
         ("x0", "ident"),        # rows are 1-based, so no leading zero
         ("TRUE", "bool"),
         ("ϑλ_2.x", "ident"),
+        ("x²", "ident"),        # other Unicode digits may appear in names
+        ("A١", "ident"),        # but cell rows take ASCII digits only
     ],
 )
 def test_cellref_versus_name(word, kind):
@@ -96,6 +107,21 @@ def test_number_lexemes(num):
     assert [t.kind for t in toks] == ["number"]
 
 
+@pytest.mark.parametrize("text,offset", [(".1.", 2), ("1²", 1), ("١", 0), ("=1 + ²", 5)])
+def test_numbers_take_ascii_digits_only(text, offset):
+    with pytest.raises(LexError) as err:
+        tokenize(text)
+    assert err.value.offset == offset
+
+
+def test_unicode_digits_stay_inside_names():
+    assert parse_formula("=x²").name == "x²"
+    assert parse_formula("=A١+1").left.name == "A١"
+    with pytest.raises(LexError) as err:
+        parse_formula("=.1.")
+    assert err.value.offset == 3
+
+
 def test_exponent_requires_digits():
     # "1e" is a number then an identifier, not a malformed exponent.
     assert kinds("1e") == ["number", "ident"]
@@ -113,7 +139,7 @@ def test_spans_tile_source():
     assert src[pos:].strip() == ""
 
 
-@given(st.text(alphabet="ABxyλδ019 .+-*/^&<>=(){},;:!@#$%\"'_", max_size=40))
+@given(st.text(alphabet="ABxyλδ019²١ .+-*/^&<>=(){},;:!@#$%\"'_", max_size=40))
 def test_tokenize_total_and_tiled(src):
     try:
         toks = tokenize(src)
