@@ -13,6 +13,7 @@ evaluation entry points run on one long-lived worker thread with a large stack.
 from __future__ import annotations
 
 import datetime as dt
+import math
 import queue
 import sys
 import threading
@@ -38,6 +39,7 @@ from .values import (
     DateSerial,
     ErrorValue,
     error_from_text,
+    number_from_text,
 )
 
 Address = tuple[str, int, int]  # (sheet key, row, col)
@@ -66,13 +68,8 @@ class DefinedName:
 
 @dataclass
 class Cell:
-    formula: E.Expr | None = None
-    literal: object = None
+    formula: E.Expr  # literal content is a Literal node
     value: object = None
-
-    @property
-    def has_content(self) -> bool:
-        return self.formula is not None or self.literal is not None
 
 
 @dataclass
@@ -198,25 +195,15 @@ class Workbook:
     # -- content editing
 
     def set_cell(self, addr: Address | str, content) -> None:
-        """Assign a cell: a formula string (leading ``=``), a parsed Expr, or
-        a literal scalar. ``None`` clears the cell."""
+        """Assign a cell: formula text, a parsed Expr or a literal value, as
+        ``_content_expr`` reads them. ``None`` clears the cell. Content that
+        fails to parse raises and leaves the workbook unchanged."""
         if isinstance(addr, str):
             addr = self.address(addr)
         if content is None:
             self.clear_cell(addr)
             return
-        cell = self.cells.get(addr)
-        if cell is None:
-            cell = self.cells[addr] = Cell()
-        if _is_formula(content):
-            content = parse_formula(content)
-        if isinstance(content, E.Expr):
-            cell.formula = content
-            cell.literal = None
-        else:
-            cell.formula = None
-            cell.literal = content
-        cell.value = None
+        self.cells[addr] = Cell(_content_expr(content))
         self._rewire(addr)
         self._vacate_for_edit(addr)
         self._dirty.add(addr)
@@ -246,12 +233,8 @@ class Workbook:
             raise NameCollision(f"{name!r} is not a valid name")
         if is_builtin_name(name) or name.upper() in ("LET", "LAMBDA"):
             raise NameCollision(f"{name!r} shadows a built-in function")
-        if _is_formula(content):
-            content = parse_formula(content)
-        elif not isinstance(content, E.Expr):
-            content = _literal_expr(content)
         key = name.casefold()
-        self.names[key] = DefinedName(name, content)
+        self.names[key] = DefinedName(name, _content_expr(content))
         # Redefinition dirties every cell whose formula reaches this name.
         for addr in sorted(self._name_refs.get(key, ())):
             self._rewire(addr)
@@ -276,10 +259,7 @@ class Workbook:
 
     def _rewire(self, addr: Address) -> None:
         self._unwire(addr)
-        cell = self.cells.get(addr)
-        if cell is None or cell.formula is None:
-            return
-        refs, names = _extract_refs(cell.formula, addr[0], self)
+        refs, names = _extract_refs(self.cells[addr].formula, addr[0], self)
         self._deps_out[addr] = refs
         if names:
             self._names_out[addr] = tuple(names)
@@ -309,7 +289,7 @@ class Workbook:
     def cell_value(self, sheet: str, row: int, col: int):
         addr = (self._sheet_key(sheet), row, col)
         cell = self.cells.get(addr)
-        if cell is not None and cell.has_content:
+        if cell is not None:
             v = cell.value
             if isinstance(v, Array):
                 return v.at(0, 0)
@@ -384,7 +364,7 @@ class Workbook:
             # The spill layout never settled (mutually blocking anchors).
             for addr in sorted(pending):
                 cell = self.cells.get(addr)
-                if cell is not None and cell.has_content:
+                if cell is not None:
                     self._vacate(addr)
                     cell.value = CIRC_ERROR
                     report.cycles.append(addr)
@@ -406,7 +386,7 @@ class Workbook:
                 if reader not in seen:
                     seen.add(reader)
                     frontier.append(reader)
-        return {a for a in seen if a in self.cells and self.cells[a].has_content}
+        return {a for a in seen if a in self.cells}
 
     def _effective_preds(self, addr: Address, work: set[Address]) -> set[Address]:
         # A reference to a spill member counts as a reference to its anchor.
@@ -442,19 +422,13 @@ class Workbook:
                         report.cycles.append(addr)
                     circled.add(addr)
                 else:
-                    value = self._evaluate_cell(addr)
+                    value = self._evaluate(self.cells[addr].formula, addr)
                     report.evaluated += 1
                 # The cell counts as evaluated before its spill is placed, so
                 # a placement that feeds the cell's own inputs re-queues it.
                 evaluated.add(addr)
                 self._set_cell_result(addr, value, report, evaluated, work, next_dirty)
         return next_dirty
-
-    def _evaluate_cell(self, addr: Address):
-        cell = self.cells[addr]
-        if cell.formula is None:
-            return cell.literal
-        return self._evaluate(cell.formula, addr)
 
     def _set_cell_result(self, addr, value, report, evaluated, work, next_dirty):
         cell = self.cells[addr]
@@ -509,8 +483,7 @@ class Workbook:
             for member in self._region_cells(anchor, (nr, nc)):
                 if member == anchor:
                     continue
-                holder = self.cells.get(member)
-                if (holder is not None and holder.has_content) or member in self._member_of:
+                if member in self.cells or member in self._member_of:
                     blocker = _format_address(member, self.sheet_names)
                     break
         if blocker is not None:
@@ -536,14 +509,20 @@ def _is_formula(content) -> bool:
     return isinstance(content, str) and content.lstrip().startswith(("=", "{"))
 
 
-def _literal_expr(value) -> E.Expr:
-    if isinstance(value, bool):
-        return E.BoolLit(value)
-    if isinstance(value, (int, float)):
-        return E.NumberLit(float(value))
-    if isinstance(value, ErrorValue):
-        return E.ErrorLit(value)
-    return E.TextLit(str(value))
+def _content_expr(content) -> E.Expr:
+    """The tree of cell or name content. Formula text parses and an Expr is
+    kept; any other value becomes a ``Literal``: a number as a float (a
+    ``DateSerial`` stays one, and a number that is not finite is #NUM!), a
+    bool, text or an error value as it is."""
+    if isinstance(content, E.Expr):
+        return content
+    if _is_formula(content):
+        return parse_formula(content)
+    if isinstance(content, (int, float)) and not isinstance(content, (bool, DateSerial)):
+        content = float(content)
+    if isinstance(content, float) and not math.isfinite(content):
+        content = ErrorValue(NUM_ERROR.kind, "number is not finite")
+    return E.Literal(content)
 
 
 # ---------------------------------------------------------------------------
@@ -682,17 +661,17 @@ def _tarjan_sccs(preds: dict[Address, set[Address]]) -> list[list[Address]]:
 
 
 def parse_literal(text: str):
-    """Literal cell content: number, TRUE/FALSE, error, ISO date, else text."""
+    """Literal cell content: a finite number (read as text coercion reads
+    one), TRUE/FALSE, error, ISO date, else text."""
     raw = text.strip()
     if raw.upper() in ("TRUE", "FALSE"):
         return raw.upper() == "TRUE"
     err = error_from_text(raw)
     if err is not None:
         return err
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    number = number_from_text(raw)
+    if not isinstance(number, ErrorValue):
+        return number
     if len(raw) == 10 and raw[4] == "-" and raw[7] == "-":
         try:
             day = dt.date.fromisoformat(raw)

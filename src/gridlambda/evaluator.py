@@ -437,11 +437,7 @@ def _call_builtin(builtin: Builtin, args, env: Environment, ctx: EvalContext):
 # One handler per node class; ``evaluate`` looks up ``type(expr)`` exactly,
 # so a subclass of a node needs an entry of its own.
 _DISPATCH = {
-    E.NumberLit: _literal,
-    E.TextLit: _literal,
-    E.BoolLit: _literal,
-    E.ErrorLit: _literal,
-    E.ArrayLit: lambda expr, env, ctx: Array(expr.rows),
+    E.Literal: _literal,
     E.NameRef: _eval_name,
     E.CellRef: _eval_cell_ref,
     E.RangeRef: _eval_range_ref,
@@ -453,5 +449,4 @@ _DISPATCH = {
     E.BinaryOp: _eval_binary,
     E.UnaryOp: _eval_unary,
     E.PercentPostfix: _eval_percent,
-    type(E.OMITTED_ARG): lambda expr, env, ctx: OMITTED,
 }

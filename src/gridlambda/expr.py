@@ -1,10 +1,14 @@
-"""Formula abstract syntax tree and the canonical formula printer."""
+"""Formula abstract syntax tree and the canonical formula printer.
+
+Every constant, an array literal and an empty argument slot included, is one
+frozen ``Literal`` node holding its runtime value; the printer writes each
+through ``_literal_text``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .values import ErrorValue, Param
+from .values import OMITTED, Array, ErrorValue, Param
 
 GRID_MAX_ROWS = 1_048_576
 GRID_MAX_COLS = 16_384
@@ -29,31 +33,25 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NumberLit(Expr):
-    value: float
+@dataclass(frozen=True, eq=False)
+class Literal(Expr):
+    """A constant: a float, text, a bool, an ``ErrorValue``, an ``Array`` of
+    those (an array literal) or ``OMITTED`` (an empty argument slot).
 
+    Equality also compares the type of the value, so ``TRUE`` is not ``1``
+    and a date serial is not the plain number."""
 
-@dataclass(frozen=True)
-class TextLit(Expr):
-    value: str
+    value: object
 
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is Literal
+            and type(self.value) is type(other.value)
+            and self.value == other.value
+        )
 
-@dataclass(frozen=True)
-class BoolLit(Expr):
-    value: bool
-
-
-@dataclass(frozen=True)
-class ErrorLit(Expr):
-    value: ErrorValue
-
-
-@dataclass(frozen=True)
-class ArrayLit(Expr):
-    """Rows of scalar literal values (floats, strings, bools, ErrorValue)."""
-
-    rows: tuple[tuple[object, ...], ...]
+    def __hash__(self) -> int:
+        return hash((type(self.value), self.value))
 
 
 @dataclass(frozen=True)
@@ -91,21 +89,8 @@ class ImplicitIntersect(Expr):
     inner: Expr
 
 
-class _OmittedArg(Expr):
-    """Placeholder for an empty argument slot in a call."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "OmittedArg"
-
-
-OMITTED_ARG = _OmittedArg()
+# The empty argument slot of a call; the parser returns this one node.
+OMITTED_ARG = Literal(OMITTED)
 
 
 @dataclass(frozen=True)
@@ -177,7 +162,8 @@ def _print(e: Expr, parent_prec: int) -> str:
     return text
 
 
-def _scalar_literal(v) -> str:
+def _literal_text(v) -> str:
+    """The formula text of a literal value; an omitted argument prints empty."""
     if isinstance(v, bool):
         return "TRUE" if v else "FALSE"
     if isinstance(v, (int, float)):
@@ -186,7 +172,11 @@ def _scalar_literal(v) -> str:
         return '"' + v.replace('"', '""') + '"'
     if isinstance(v, ErrorValue):
         return v.kind.value
-    raise TypeError(f"not an array literal scalar: {v!r}")
+    if isinstance(v, Array):
+        return "{" + ";".join(",".join(map(_literal_text, row)) for row in v.rows) + "}"
+    if v is OMITTED:
+        return ""
+    raise TypeError(f"not a literal value: {v!r}")
 
 
 def _number_literal(x: float) -> str:
@@ -208,17 +198,8 @@ def _cell_ref_text(ref: CellRef) -> str:
 
 def _print_prec(e: Expr) -> tuple[str, int]:
     match e:
-        case NumberLit(value=v):
-            return _number_literal(v), _PREC_ATOM
-        case TextLit(value=v):
-            return '"' + v.replace('"', '""') + '"', _PREC_ATOM
-        case BoolLit(value=v):
-            return ("TRUE" if v else "FALSE"), _PREC_ATOM
-        case ErrorLit(value=v):
-            return v.kind.value, _PREC_ATOM
-        case ArrayLit(rows=rows):
-            body = ";".join(",".join(_scalar_literal(v) for v in row) for row in rows)
-            return "{" + body + "}", _PREC_ATOM
+        case Literal(value=v):
+            return _literal_text(v), _PREC_ATOM
         case CellRef():
             return _cell_ref_text(e), _PREC_ATOM
         case RangeRef(start=s, end=t, sheet=sheet):
@@ -242,10 +223,8 @@ def _print_prec(e: Expr) -> tuple[str, int]:
                 prec,
             )
         case Call(callee=callee, args=args):
-            parts = []
-            for a in args:
-                parts.append("" if a is OMITTED_ARG else _print(a, 0))
-            return _print(callee, _PREC_POSTFIX) + "(" + ", ".join(parts) + ")", _PREC_POSTFIX
+            parts = ", ".join(_print(a, 0) for a in args)
+            return _print(callee, _PREC_POSTFIX) + "(" + parts + ")", _PREC_POSTFIX
         case Let(bindings=bindings, body=body):
             parts = []
             for name, val in bindings:

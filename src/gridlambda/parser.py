@@ -4,7 +4,10 @@ precedence-climbing parser.
 ``tokenize`` matches one compiled pattern per token. Python code decides
 only what a pattern cannot: whether a word with non-ASCII letters ends where
 ``_is_ident_char`` says, whether ``#`` is a spill suffix or starts an error
-literal, and that ``$`` appears only in cell references.
+literal, and that ``$`` appears only in cell references. A number, text,
+bool or error token carries its constant in ``Token.value``, which the
+parser wraps in an ``expr.Literal``; an array literal's ``Array`` is built
+once, here.
 
 Binary operators are parsed by precedence climbing over ``expr.BIN_PREC``,
 the table the printer uses. Tightest first: postfix ``%``/``#``, unary sign
@@ -14,18 +17,18 @@ comparisons.
 
 from __future__ import annotations
 
+import math
 import re
 import unicodedata
 from typing import NamedTuple
 
 from . import expr as E
-from .values import Param, error_from_text
+from .values import Array, ErrorKind, ErrorValue, Param
 
-_ERROR_TEXTS = sorted(
-    ("#DIV/0!", "#VALUE!", "#REF!", "#NAME?", "#NUM!", "#N/A", "#CALC!", "#SPILL!", "#CIRC!"),
-    key=len,
-    reverse=True,
-)
+# Longest first, so a shorter error text never matches the start of a longer one.
+_ERROR_TEXTS = sorted((k.value for k in ErrorKind), key=len, reverse=True)
+# Token kinds whose value is a literal constant.
+_LITERAL_KINDS = ("number", "text", "bool", "error")
 
 # Each alternative is one token kind; a match also skips leading whitespace.
 # Strings double their quotes; a closing quote is never followed by another.
@@ -70,8 +73,8 @@ class Token(NamedTuple):
     lexeme: str
     start: int
     end: int
-    # The float of a number, the (col_abs, col, row_abs, row) of a cell
-    # reference, else None.
+    # The constant of a number, text, bool or error literal, the
+    # (col_abs, col, row_abs, row) of a cell reference, else None.
     value: object = None
 
 
@@ -136,12 +139,15 @@ def tokenize(source: str) -> list[Token]:
             elif "$" in word:
                 raise LexError(f"illegal '$' in name {word!r}", start)
             elif word.upper() in ("TRUE", "FALSE"):
-                append(Token("bool", word, start, pos))
+                append(Token("bool", word, start, pos, word.upper() == "TRUE"))
             else:
                 append(Token("ident", word, start, pos))
         elif kind == "number":
             lexeme = m.group(kind)
-            append(Token("number", lexeme, start, pos, float(lexeme)))
+            value = float(lexeme)
+            if math.isinf(value):
+                raise LexError("number out of range", start)
+            append(Token("number", lexeme, start, pos, value))
         elif kind == "hash":
             prev = tokens[-1] if tokens else None
             if prev is not None and prev.end == start and prev.kind in ("ident", "cellref"):
@@ -150,10 +156,13 @@ def tokenize(source: str) -> list[Token]:
             for err_text in _ERROR_TEXTS:
                 pos = start + len(err_text)
                 if source.startswith(err_text, start) or source[start:pos].upper() == err_text:
-                    append(Token("error", source[start:pos], start, pos))
+                    append(Token("error", source[start:pos], start, pos, ErrorValue(ErrorKind(err_text))))
                     break
             else:
                 raise LexError("illegal character '#'", start)
+        elif kind == "text":
+            lexeme = m.group(kind)
+            append(Token("text", lexeme, start, pos, lexeme[1:-1].replace('""', '"')))
         elif kind == "end":
             return tokens
         else:
@@ -168,7 +177,10 @@ def parse_formula(source: str) -> E.Expr:
         offset = len(text) - len(stripped) + 1
         text = text[:offset - 1] + " " + text[offset:]
     parser = _Parser(tokenize(text), len(source))
-    node = parser.expression()
+    try:
+        node = parser.expression()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", parser.peek().start) from None
     parser.expect_end()
     return node
 
@@ -340,20 +352,9 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "end":
             raise ParseError("unexpected end of formula", tok.start)
-        if tok.kind == "number":
-            self.next()
-            return E.NumberLit(tok.value)
-        if tok.kind == "text":
-            self.next()
-            return E.TextLit(tok.lexeme[1:-1].replace('""', '"'))
-        if tok.kind == "bool":
-            self.next()
-            return E.BoolLit(tok.lexeme.upper() == "TRUE")
-        if tok.kind == "error":
-            self.next()
-            err = error_from_text(tok.lexeme)
-            assert err is not None
-            return E.ErrorLit(err)
+        if tok.kind in _LITERAL_KINDS:
+            self.pos += 1
+            return E.Literal(tok.value)
         if tok.kind == "array_open":
             return self.array_literal()
         if tok.kind == "cellref":
@@ -416,7 +417,7 @@ class _Parser:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ParseError("array literal rows differ in length", open_tok.start)
-        return E.ArrayLit(tuple(tuple(r) for r in rows))
+        return E.Literal(Array(rows))
 
     def _array_element(self):
         tok = self.next()
@@ -433,14 +434,8 @@ class _Parser:
             return -value if negate else value
         if negate:
             raise ParseError("'-' in an array literal must precede a number", tok.start)
-        if tok.kind == "text":
-            return tok.lexeme[1:-1].replace('""', '"')
-        if tok.kind == "bool":
-            return tok.lexeme.upper() == "TRUE"
-        if tok.kind == "error":
-            err = error_from_text(tok.lexeme)
-            assert err is not None
-            return err
+        if tok.kind in _LITERAL_KINDS:
+            return tok.value
         raise ParseError("array literals hold scalar constants only", tok.start)
 
 

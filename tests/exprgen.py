@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from gridlambda import expr as E
-from gridlambda.values import ErrorKind, ErrorValue, Param
+from gridlambda.values import Array, ErrorKind, ErrorValue, Param
 
 _NAMES = [
     "alpha", "rate", "vRate", "opening", "closing", "Addλ", "Sumλ", "δt",
@@ -72,19 +72,19 @@ def _range(rng: random.Random) -> E.RangeRef:
 def _leaf(rng: random.Random) -> E.Expr:
     kind = rng.randrange(9)
     if kind == 0:
-        return E.NumberLit(_number(rng))
+        return E.Literal(_number(rng))
     if kind == 1:
-        return E.TextLit(_text(rng))
+        return E.Literal(_text(rng))
     if kind == 2:
-        return E.BoolLit(rng.random() < 0.5)
+        return E.Literal(rng.random() < 0.5)
     if kind == 3:
-        return E.ErrorLit(rng.choice(_ERRORS))
+        return E.Literal(rng.choice(_ERRORS))
     if kind == 4:
         cols = rng.randrange(1, 4)
         rows = tuple(
             tuple(_scalar(rng) for _ in range(cols)) for _ in range(rng.randrange(1, 4))
         )
-        return E.ArrayLit(rows)
+        return E.Literal(Array(rows))
     if kind == 5:
         return _cell(rng, sheet=rng.choice(_SHEETS))
     if kind == 6:

@@ -82,6 +82,31 @@ def test_eval_syntax_error_exit_two(tmp_path):
     assert "bad.wb:1" in out.stderr
 
 
+@pytest.mark.parametrize(
+    "formula",
+    ["=" + "(" * 2000 + "1" + ")" * 2000, "=" + "-" * 2000 + "1"],
+    ids=["parentheses", "signs"],
+)
+def test_eval_deeply_nested_formula_exit_two(tmp_path, formula):
+    # A fresh process: after an evaluation the worker leaves the process-wide
+    # recursion limit high enough to parse these.
+    deep = tmp_path / "deep.wb"
+    deep.write_text(f"A1 := 1\nA2 := {formula}\n")
+    out = run_cli("eval", str(deep), "--print", "A1")
+    assert out.returncode == 2
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {deep}:2: formula nested too deeply (offset ")
+
+
+def test_eval_prints_non_finite_literals_as_text(tmp_path):
+    path = tmp_path / "inf.wb"
+    path.write_text("A1 := inf\nA2 := nan\nA3 := 1e999\nA4 := -Infinity\n")
+    out = run_cli("eval", str(path), "--print", "A1:A4", "--format", "tsv")
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    assert out.stdout.split() == ["inf", "nan", "1e999", "-Infinity"]
+
+
 def test_eval_missing_file_exit_two(tmp_path):
     out = run_cli("eval", str(tmp_path / "nope.wb"))
     assert out.returncode == 2
@@ -126,6 +151,19 @@ def test_max_recursion_flag(tmp_path):
     over = run_cli("eval", str(path), "--print", "A1", "--max-recursion", "10")
     assert over.returncode == 1
     assert "#NUM!" in over.stdout
+
+
+def test_worker_stack_holds_deep_recursion_through_map(tmp_path):
+    # Calls through C (a builtin's impl, MAP's per-cell lambda) use C stack at
+    # every level; the main thread's 8 MB stack would not hold these.
+    path = tmp_path / "deep.wb"
+    path.write_text(
+        "name F := =LAMBDA(n, IF(n = 0, 0, 1 + INDEX(MAP(n, LAMBDA(k, F(k - 1))), 1, 1)))\n"
+        "A1 := =F(16000)\n"
+    )
+    out = run_cli("eval", str(path), "--print", "A1", "--max-recursion", "32768")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["A1:", "16000"]
 
 
 def test_env_var_sets_default_depth(tmp_path):
@@ -214,7 +252,7 @@ def test_repl_statements_match_workbook_file():
     wb = load_workbook_text("\n".join(statements))
     wb.recalculate()
     want = [render_cell(v) for v in wb.evaluate_formula(query).rows[0]]
-    assert want[:5] == ["3", "hello", "TRUE", "#N/A", "41548"]
+    assert want[:5] == ["3", "hello", "TRUE", "#N/A", "2013-10-01"]
 
     out = run_cli("repl", stdin="\n".join([*statements, query, ":quit"]))
     assert out.returncode == 0, out.stderr

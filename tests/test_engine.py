@@ -7,7 +7,9 @@ import threading
 import pytest
 
 from gridlambda import NameCollision, Workbook, WorkbookFormatError, engine, load_workbook_text
-from gridlambda.values import DateSerial, EMPTY, ErrorKind, ErrorValue
+from gridlambda.expr import Literal
+from gridlambda.parser import ParseError
+from gridlambda.values import DateSerial, EMPTY, ErrorKind, ErrorValue, render_cell
 
 
 def kind(v):
@@ -378,7 +380,12 @@ B1 := hello world
 B2 := TRUE
 B3 := #N/A
 B4 := 2013-10-01
+B5 := =d
+B6 := inf
+B7 := nan
+B8 := 1e999
 name Addλ := =LAMBDA(x, y, x + y)
+name d := 2013-10-01
 sheet Other
 A1 := =Main!A2 + 1
 """
@@ -391,6 +398,9 @@ A1 := =Main!A2 + 1
     assert kind(wb.cell_value("Main", 3, 2)) == ErrorKind.NA
     serial = wb.cell_value("Main", 4, 2)
     assert isinstance(serial, DateSerial) and float(serial) == 41548.0
+    assert render_cell(wb.cell_value("Main", 5, 2)) == "2013-10-01"
+    # Numbers must be finite; any other number-like literal is text.
+    assert [wb.cell_value("Main", r, 2) for r in (6, 7, 8)] == ["inf", "nan", "1e999"]
     assert wb.cell_value("Other", 1, 1) == 11.0
 
 
@@ -510,6 +520,39 @@ def test_set_cell_accepts_parsed_expr():
     wb.set_cell("A1", parse_formula("=6 * 7"))
     wb.recalculate()
     assert wb.cell_value("Sheet1", 1, 1) == 42.0
+
+
+def test_api_numbers_are_stored_as_finite_floats():
+    wb = Workbook()
+    wb.set_cell("A1", 5)
+    wb.set_cell("A2", float("inf"))
+    wb.define_name("n", float("nan"))
+    wb.define_name("d", DateSerial(41548))
+    wb.set_cell("A3", "=n")
+    wb.recalculate()
+    assert wb.cells[wb.address("A1")].formula == Literal(5.0)
+    assert type(wb.cell_value("Sheet1", 1, 1)) is float
+    assert kind(wb.cell_value("Sheet1", 2, 1)) == ErrorKind.NUM
+    assert kind(wb.cell_value("Sheet1", 3, 1)) == ErrorKind.NUM
+    assert render_cell(wb.evaluate_formula("=d")) == "2013-10-01"
+
+
+def test_failed_set_cell_leaves_the_workbook_unchanged():
+    wb = Workbook()
+    wb.set_cell("A3", 7.0)
+    wb.recalculate()
+    before = dict(wb.cells)
+    with pytest.raises(ParseError):
+        wb.set_cell("A2", "=1 +")
+    with pytest.raises(ParseError):
+        wb.set_cell("A3", "=SUM(")
+    assert wb.cells == before
+    assert wb.cell_value("Sheet1", 3, 1) == 7.0
+    wb.clear_cell("A3")
+    wb.set_cell("A1", "=SEQUENCE(3)")
+    wb.recalculate()
+    assert wb.spill_region("A1") == (3, 1)
+    assert wb.cell_value("Sheet1", 2, 1) == 2.0
 
 
 # -- names defined after the cells that read them -------------------------------

@@ -252,6 +252,27 @@ def test_depth_limit_holds_on_every_call_to_the_worker():
     assert wb.evaluate_formula("=Recurλ(1000, {1%;2%})").shape == (3, 1)
 
 
+# Recursion that passes through a lambda helper: each level applies two
+# closures, F and the helper's lambda, so 510 levels fit the default limit of
+# 1024 and 520 do not.
+HELPER_CALLS = {
+    "MAP": "MAP(n, LAMBDA(k, F(k - 1)))",
+    "BYROW": "BYROW(n, LAMBDA(r, F(INDEX(r, 1, 1) - 1)))",
+    "BYCOL": "BYCOL(n, LAMBDA(c, F(INDEX(c, 1, 1) - 1)))",
+    "SCAN": "SCAN(0, n, LAMBDA(acc, k, F(k - 1)))",
+    "REDUCE": "REDUCE(0, n, LAMBDA(acc, k, F(k - 1)))",
+    "MAKEARRAY": "MAKEARRAY(1, 1, LAMBDA(r, c, F(n - 1)))",
+}
+
+
+@pytest.mark.parametrize("helper", sorted(HELPER_CALLS))
+def test_recursion_through_a_helper_reaches_the_default_limit(helper):
+    wb = Workbook()
+    wb.define_name("F", f"=LAMBDA(n, IF(n = 0, 0, 1 + INDEX({HELPER_CALLS[helper]}, 1, 1)))")
+    assert wb.evaluate_formula("=F(510)") == 510.0
+    assert kind(wb.evaluate_formula("=F(520)")) == ErrorKind.NUM
+
+
 # -- dispatch ----------------------------------------------------------------------
 
 
@@ -268,6 +289,16 @@ def test_evaluate_omitted_argument():
     from gridlambda.values import OMITTED
 
     assert evaluate(OMITTED_ARG, Environment(), EvalContext()) is OMITTED
+
+
+def test_array_literal_evaluates_to_its_one_array():
+    from gridlambda import parse_formula
+    from gridlambda.evaluator import Environment, EvalContext, evaluate
+
+    tree = parse_formula("={1,2;3,4}")
+    first = evaluate(tree, Environment(), EvalContext())
+    assert first is tree.value
+    assert evaluate(tree, Environment(), EvalContext()) is first
 
 
 # -- trace format ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from gridlambda import expr as E
 from gridlambda.expr import print_expr
 from gridlambda.parser import ParseError, parse_formula
-from gridlambda.values import ErrorKind, Param
+from gridlambda.values import Array, DateSerial, ErrorKind, Param
 
 from exprgen import gen_expr
 
@@ -20,8 +20,8 @@ def roundtrip(source: str) -> E.Expr:
 def test_minimal_let():
     ast = parse_formula("=LET(x, 1, x+1)")
     assert ast == E.Let(
-        (("x", E.NumberLit(1.0)),),
-        E.BinaryOp("+", E.NameRef("x"), E.NumberLit(1.0)),
+        (("x", E.Literal(1.0)),),
+        E.BinaryOp("+", E.NameRef("x"), E.Literal(1.0)),
     )
 
 
@@ -35,14 +35,14 @@ def test_lambda_optional_parameter_flag():
 
 def test_empty_text_pair_array():
     ast = parse_formula('={"",""}')
-    assert ast == E.ArrayLit((("", ""),))
+    assert ast == E.Literal(Array((("", ""),)))
 
 
 def test_scan_call_shape():
     ast = parse_formula("=SCAN(0, Revenue-COGS, Addλ)")
     assert isinstance(ast, E.Call)
     assert ast.callee == E.NameRef("SCAN")
-    assert ast.args[0] == E.NumberLit(0.0)
+    assert ast.args[0] == E.Literal(0.0)
     assert ast.args[1] == E.BinaryOp("-", E.NameRef("Revenue"), E.NameRef("COGS"))
     assert ast.args[2] == E.NameRef("Addλ")
 
@@ -56,18 +56,25 @@ def test_curried_application():
 
 def test_array_literal_separators():
     ast = parse_formula("={1;2;3}")
-    assert ast == E.ArrayLit(((1.0,), (2.0,), (3.0,)))
+    assert ast == E.Literal(Array(((1.0,), (2.0,), (3.0,))))
     ast = parse_formula("={1,2;3,4}")
-    assert ast == E.ArrayLit(((1.0, 2.0), (3.0, 4.0)))
+    assert ast == E.Literal(Array(((1.0, 2.0), (3.0, 4.0))))
 
 
 def test_percent_literal_in_array():
     ast = parse_formula("={5%;4%;3%}")
-    assert ast == E.ArrayLit(((0.05,), (0.04,), (0.03,)))
+    assert ast == E.Literal(Array(((0.05,), (0.04,), (0.03,))))
+
+
+def test_literal_equality_compares_the_value_type():
+    assert E.Literal(True) != E.Literal(1.0)
+    assert E.Literal(DateSerial(5)) != E.Literal(5.0)
+    assert E.Literal(1.0) == E.Literal(1.0) and hash(E.Literal(1.0)) == hash(E.Literal(1.0))
+    assert parse_formula("=TRUE") == E.Literal(True) != parse_formula("=1")
 
 
 def test_percent_postfix():
-    assert parse_formula("=5%") == E.PercentPostfix(E.NumberLit(5.0))
+    assert parse_formula("=5%") == E.PercentPostfix(E.Literal(5.0))
 
 
 def test_spill_and_intersect():
@@ -132,7 +139,7 @@ def test_unary_minus_binds_tighter_than_power():
 
 
 def test_percent_binds_tighter_than_unary():
-    assert shape("=-5%") == E.UnaryOp("-", E.PercentPostfix(E.NumberLit(5.0)))
+    assert shape("=-5%") == E.UnaryOp("-", E.PercentPostfix(E.Literal(5.0)))
 
 
 def test_concat_between_additive_and_comparison():
@@ -150,17 +157,17 @@ def test_comparison_chain_left():
 @pytest.mark.parametrize(
     "src,tree",
     [
-        ("=-2^2", E.BinaryOp("^", E.UnaryOp("-", E.NumberLit(2.0)), E.NumberLit(2.0))),
-        ("=2^3^2", E.BinaryOp("^", E.BinaryOp("^", E.NumberLit(2.0), E.NumberLit(3.0)), E.NumberLit(2.0))),
-        ("=1&2+3", E.BinaryOp("&", E.NumberLit(1.0), E.BinaryOp("+", E.NumberLit(2.0), E.NumberLit(3.0)))),
-        ("=1=2&3", E.BinaryOp("=", E.NumberLit(1.0), E.BinaryOp("&", E.NumberLit(2.0), E.NumberLit(3.0)))),
+        ("=-2^2", E.BinaryOp("^", E.UnaryOp("-", E.Literal(2.0)), E.Literal(2.0))),
+        ("=2^3^2", E.BinaryOp("^", E.BinaryOp("^", E.Literal(2.0), E.Literal(3.0)), E.Literal(2.0))),
+        ("=1&2+3", E.BinaryOp("&", E.Literal(1.0), E.BinaryOp("+", E.Literal(2.0), E.Literal(3.0)))),
+        ("=1=2&3", E.BinaryOp("=", E.Literal(1.0), E.BinaryOp("&", E.Literal(2.0), E.Literal(3.0)))),
         ("=a<b<c", E.BinaryOp("<", E.BinaryOp("<", E.NameRef("a"), E.NameRef("b")), E.NameRef("c"))),
         ("=@x#", E.ImplicitIntersect(E.SpillRef(E.NameRef("x")))),
-        ("=5%^2", E.BinaryOp("^", E.PercentPostfix(E.NumberLit(5.0)), E.NumberLit(2.0))),
+        ("=5%^2", E.BinaryOp("^", E.PercentPostfix(E.Literal(5.0)), E.Literal(2.0))),
         ("=1-2-3*4/5", E.BinaryOp(
             "-",
-            E.BinaryOp("-", E.NumberLit(1.0), E.NumberLit(2.0)),
-            E.BinaryOp("/", E.BinaryOp("*", E.NumberLit(3.0), E.NumberLit(4.0)), E.NumberLit(5.0)),
+            E.BinaryOp("-", E.Literal(1.0), E.Literal(2.0)),
+            E.BinaryOp("/", E.BinaryOp("*", E.Literal(3.0), E.Literal(4.0)), E.Literal(5.0)),
         )),
     ],
 )
@@ -190,6 +197,7 @@ def test_parser_and_printer_share_one_precedence_table():
         ("=A1:", "unexpected ':' (offset 3)"),
         ("=Sheet!", "expected cell reference after sheet name (offset 7)"),
         ("=x #", "illegal character '#' (offset 3)"),
+        ("=1 + 1e999", "number out of range (offset 5)"),
     ],
 )
 def test_error_messages_and_offsets(src, message):
@@ -243,11 +251,11 @@ def test_roundtrip_random_expressions():
 
 
 def test_print_let_canonical():
-    assert print_expr(E.Let((("x", E.NumberLit(1.0)),), E.NameRef("x"))) == "=LET(x, 1, x)"
+    assert print_expr(E.Let((("x", E.Literal(1.0)),), E.NameRef("x"))) == "=LET(x, 1, x)"
 
 
 def test_print_array_canonical():
-    ast = E.ArrayLit(((1.0, 2.0), (3.0, 4.0)))
+    ast = E.Literal(Array(((1.0, 2.0), (3.0, 4.0))))
     assert print_expr(ast) == "={1,2;3,4}"
 
 
@@ -271,7 +279,7 @@ def test_sheet_qualified_reference():
 
 def test_error_literal_roundtrip():
     ast = parse_formula("=IF(A1, #N/A, #DIV/0!)")
-    assert ast.args[1] == E.ErrorLit(ast.args[1].value)
+    assert ast.args[1] == E.Literal(ast.args[1].value)
     assert ast.args[1].value.kind == ErrorKind.NA
     roundtrip("=IF(A1, #N/A, #DIV/0!)")
 
@@ -289,6 +297,9 @@ def test_error_literal_roundtrip():
         "=1 + EOMONTH(+periodEnd, -1)",
         "=TAKE(Convolveλ(timing, amounts), 12 * modelDuration)",
         "=-2^2 + 5% & \"t\" <> x",
+        '={1,-2.5;"a""b",#N/A}',
+        "=IF(a, , 1)",
+        "=f(, {TRUE,FALSE}, )",
     ],
 )
 def test_roundtrip_paper_formulas(src):
