@@ -1,5 +1,14 @@
 """Workbook model: cells, defined names, dependency graph, spill regions.
 
+Each graph and layout fact is stored once:
+- a cell's outgoing edges are ``Cell.reads``, the addresses and defined-name
+  keys its formula statically reaches;
+- ``Workbook._deps_in`` maps an address or a name key to the cells that read
+  it, so redefining a name finds its readers in the same map as a cell does;
+- a placed spill region is the ``Array`` its anchor cell holds: a cell holds
+  an ``Array`` exactly while its region is placed, and ``_member_of`` maps
+  each other cell of the region back to the anchor.
+
 Recalculation is batch and deterministic: dirty cells and their transitive
 dependents evaluate in topological order of the static reference graph;
 strongly connected components collapse to #CIRC! cells. Spill placement can
@@ -66,10 +75,14 @@ class DefinedName:
     expr: E.Expr
 
 
-@dataclass
+_NO_READS: frozenset = frozenset()
+
+
+@dataclass(slots=True)
 class Cell:
     formula: E.Expr  # literal content is a Literal node
-    value: object = None
+    value: object = None  # an Array exactly while its spill region is placed
+    reads: frozenset | set = _NO_READS  # addresses and name keys the formula reaches
 
 
 @dataclass
@@ -169,14 +182,12 @@ class Workbook:
         self.default_sheet = "Sheet1"
         self._ensure_sheet("Sheet1")
 
-        self._deps_out: dict[Address, set[Address]] = {}
-        self._deps_in: dict[Address, set[Address]] = {}
-        self._names_out: dict[Address, tuple[str, ...]] = {}  # cell -> name keys it reaches
-        self._name_refs: dict[str, set[Address]] = {}  # name key -> referring cells
-        self._regions: dict[Address, tuple[int, int]] = {}
-        self._member_of: dict[Address, Address] = {}
-        self._blocked: set[Address] = set()
-        self._dirty: set[Address] = set()
+        # Edges out of a cell are its ``Cell.reads``; a placed region is the
+        # Array its anchor holds. The rest of the graph and layout state:
+        self._deps_in: dict[Address | str, set[Address]] = {}  # address or name key -> readers
+        self._member_of: dict[Address, Address] = {}  # non-anchor region cell -> its anchor
+        self._blocked: set[Address] = set()  # anchors whose last placement was #SPILL!
+        self._dirty: set[Address] = set()  # seeds of the next recalculation
 
     # -- sheets and addresses
 
@@ -203,25 +214,21 @@ class Workbook:
         if content is None:
             self.clear_cell(addr)
             return
-        self.cells[addr] = Cell(_content_expr(content))
-        self._rewire(addr)
-        self._vacate_for_edit(addr)
+        formula = _content_expr(content)
+        self._release(addr)
+        self.cells[addr] = cell = Cell(formula)
+        self._wire(addr, cell)
         self._dirty.add(addr)
         self._touch_layout(addr)
 
     def clear_cell(self, addr: Address | str) -> None:
         if isinstance(addr, str):
             addr = self.address(addr)
-        cell = self.cells.get(addr)
-        if cell is None:
-            return
-        self._unwire(addr)
-        self._vacate_for_edit(addr)
-        del self.cells[addr]
-        self._dirty.add(addr)
-        for reader in self._deps_in.get(addr, ()):
-            self._dirty.add(reader)
-        self._touch_layout(addr)
+        # Dirtying the address is enough: ``_closure`` walks its readers.
+        if self._release(addr):
+            del self.cells[addr]
+            self._dirty.add(addr)
+            self._touch_layout(addr)
 
     def define_name(self, name: str, content) -> None:
         """Define a workbook name; ``content`` reads as in ``set_cell``, so a
@@ -235,18 +242,27 @@ class Workbook:
             raise NameCollision(f"{name!r} shadows a built-in function")
         key = name.casefold()
         self.names[key] = DefinedName(name, _content_expr(content))
-        # Redefinition dirties every cell whose formula reaches this name.
-        for addr in sorted(self._name_refs.get(key, ())):
-            self._rewire(addr)
+        # Redefinition rewires and dirties every cell whose formula reaches
+        # this name: the new content may reach other cells and names.
+        for addr in sorted(self._deps_in.get(key, ())):
+            cell = self.cells[addr]
+            self._unwire(addr, cell)
+            self._wire(addr, cell)
             self._dirty.add(addr)
 
-    def _vacate_for_edit(self, addr: Address) -> None:
-        """Drop the spill region of a cell whose content changed and dirty the
-        readers of its members. A stale region would map those members to
-        the cell in ``_effective_preds``, so its new formula could read them
-        as a self edge."""
+    def _release(self, addr: Address) -> bool:
+        """Unwire the cell at ``addr`` and drop its spill region, dirtying the
+        readers of its members, before its record is replaced or deleted. A
+        stale region would map those members to the cell in
+        ``_effective_preds``, so its new formula could read them as a self
+        edge. Returns False when ``addr`` holds no cell."""
+        cell = self.cells.get(addr)
+        if cell is None:
+            return False
+        self._unwire(addr, cell)
         for member in self._vacate(addr):
             self._dirty.update(self._deps_in.get(member, ()))
+        return True
 
     def _touch_layout(self, addr: Address) -> None:
         """Content changes can collide with a live region or unblock a failed one."""
@@ -257,29 +273,17 @@ class Workbook:
 
     # -- dependency graph
 
-    def _rewire(self, addr: Address) -> None:
-        self._unwire(addr)
-        refs, names = _extract_refs(self.cells[addr].formula, addr[0], self)
-        self._deps_out[addr] = refs
-        if names:
-            self._names_out[addr] = tuple(names)
-        for ref in refs:
+    def _wire(self, addr: Address, cell: Cell) -> None:
+        cell.reads = _extract_refs(cell.formula, addr[0], self)
+        for ref in cell.reads:
             self._deps_in.setdefault(ref, set()).add(addr)
-        for name_key in names:
-            self._name_refs.setdefault(name_key, set()).add(addr)
 
-    def _unwire(self, addr: Address) -> None:
-        for ref in self._deps_out.pop(addr, ()):
-            readers = self._deps_in.get(ref)
-            if readers is not None:
-                readers.discard(addr)
-                if not readers:
-                    del self._deps_in[ref]
-        for name_key in self._names_out.pop(addr, ()):
-            referers = self._name_refs[name_key]
-            referers.discard(addr)
-            if not referers:
-                del self._name_refs[name_key]
+    def _unwire(self, addr: Address, cell: Cell) -> None:
+        for ref in cell.reads:
+            readers = self._deps_in[ref]
+            readers.discard(addr)
+            if not readers:
+                del self._deps_in[ref]
 
     # -- values seen by the evaluator
 
@@ -310,16 +314,20 @@ class Workbook:
         return Array(rows, origin=(key, r1, c1))
 
     def spill_array(self, sheet: str, row: int, col: int) -> Array | None:
-        addr = (self._sheet_key(sheet), row, col)
-        if addr not in self._regions:
-            return None
-        arr = self.cells[addr].value
-        return arr if isinstance(arr, Array) else None
+        return self._placed((self._sheet_key(sheet), row, col))
 
     def spill_region(self, addr: Address | str) -> tuple[int, int] | None:
         if isinstance(addr, str):
             addr = self.address(addr)
-        return self._regions.get(addr)
+        arr = self._placed(addr)
+        return None if arr is None else arr.shape
+
+    def _placed(self, addr: Address) -> Array | None:
+        """The Array held by the anchor of a placed region at ``addr``."""
+        cell = self.cells.get(addr)
+        if cell is not None and isinstance(cell.value, Array):
+            return cell.value
+        return None
 
     # -- evaluation
 
@@ -377,9 +385,9 @@ class Workbook:
         while frontier:
             addr = frontier.pop()
             readers = set(self._deps_in.get(addr, ()))
-            shape = self._regions.get(addr)
-            if shape is not None:
-                for member in self._region_cells(addr, shape):
+            arr = self._placed(addr)
+            if arr is not None:
+                for member in self._region_cells(addr, arr.shape):
                     if member != addr:
                         readers.update(self._deps_in.get(member, ()))
             for reader in readers:
@@ -391,9 +399,9 @@ class Workbook:
     def _effective_preds(self, addr: Address, work: set[Address]) -> set[Address]:
         # A reference to a spill member counts as a reference to its anchor.
         # Self edges stay: a formula reading its own cell (or its own spill
-        # output) is a genuine cycle.
+        # output) is a genuine cycle. Name keys in ``reads`` match neither.
         preds = set()
-        for dep in self._deps_out.get(addr, ()):
+        for dep in self.cells[addr].reads:
             if dep in work:
                 preds.add(dep)
             anchor = self._member_of.get(dep)
@@ -459,11 +467,16 @@ class Workbook:
                 yield (sheet, row + r, col + c)
 
     def _vacate(self, anchor: Address) -> set[Address]:
-        shape = self._regions.pop(anchor, None)
+        """Drop the region placed at ``anchor``, the Array the cell holds, and
+        clear that value, so a second call is a no-op. Returns the members
+        whose exposure changed."""
         self._blocked.discard(anchor)
-        if shape is None:
+        cell = self.cells[anchor]
+        arr = cell.value
+        if not isinstance(arr, Array):
             return set()
-        members = set(self._region_cells(anchor, shape))
+        cell.value = None
+        members = set(self._region_cells(anchor, arr.shape))
         for member in members:
             if self._member_of.get(member) == anchor:
                 del self._member_of[member]
@@ -494,7 +507,6 @@ class Workbook:
             if member != anchor:
                 self._member_of[member] = anchor
                 new_members.add(member)
-        self._regions[anchor] = (nr, nc)
         return Array(arr.rows, origin=anchor), old_members | new_members
 
 
@@ -512,14 +524,18 @@ def _is_formula(content) -> bool:
 def _content_expr(content) -> E.Expr:
     """The tree of cell or name content. Formula text parses and an Expr is
     kept; any other value becomes a ``Literal``: a number as a float (a
-    ``DateSerial`` stays one, and a number that is not finite is #NUM!), a
-    bool, text or an error value as it is."""
+    ``DateSerial`` stays one, and a number that is not finite, or an int
+    beyond the double range, is #NUM!), a bool, text or an error value as it
+    is."""
     if isinstance(content, E.Expr):
         return content
     if _is_formula(content):
         return parse_formula(content)
     if isinstance(content, (int, float)) and not isinstance(content, (bool, DateSerial)):
-        content = float(content)
+        try:
+            content = float(content)
+        except OverflowError:
+            content = math.inf
     if isinstance(content, float) and not math.isfinite(content):
         content = ErrorValue(NUM_ERROR.kind, "number is not finite")
     return E.Literal(content)
@@ -530,63 +546,63 @@ def _content_expr(content) -> E.Expr:
 
 
 def _extract_refs(expr: E.Expr, sheet: str, wb: Workbook):
-    """All cell addresses and defined-name keys a formula statically reaches.
+    """All cell addresses and defined-name keys a formula statically reaches,
+    in one set; a formula that reaches nothing shares the one empty set.
 
     Lexically bound names (LET bindings, lambda parameters) are excluded;
     defined names are expanded transitively with a cycle guard, so lambda
     recursion through a name never produces a self edge.
     """
-    addrs: set[Address] = set()
-    names: set[str] = set()
-    _walk(expr, frozenset(), sheet, wb, addrs, names, frozenset())
-    return addrs, names
+    out: set[Address | str] = set()
+    _walk(expr, frozenset(), sheet, wb, out, frozenset())
+    return out or _NO_READS
 
 
-def _walk(node, bound, sheet, wb, addrs, names, visiting):
+def _walk(node, bound, sheet, wb, out, visiting):
     match node:
         case E.CellRef():
             key = wb._sheet_key(node.sheet) if node.sheet else sheet
-            addrs.add((key, node.row, node.col))
+            out.add((key, node.row, node.col))
         case E.RangeRef(start=s, end=t):
             key = wb._sheet_key(node.sheet) if node.sheet else sheet
             for r in range(s.row, t.row + 1):
                 for c in range(s.col, t.col + 1):
-                    addrs.add((key, r, c))
+                    out.add((key, r, c))
         case E.SpillRef(target=target):
             anchor, keys = _resolve_spill_target(target, wb.lookup_name)
-            names.update(keys)
+            out.update(keys)
             if isinstance(anchor, E.CellRef):
                 key = wb._sheet_key(anchor.sheet) if anchor.sheet else sheet
-                addrs.add((key, anchor.row, anchor.col))
+                out.add((key, anchor.row, anchor.col))
         case E.NameRef(name=name):
             key = name.casefold()
             if key in bound or is_builtin_name(name):
                 return
             # Wired even while undefined, so a later define_name reaches it.
-            names.add(key)
+            out.add(key)
             defined = wb.names.get(key)
             if defined is not None and key not in visiting:
-                _walk(defined.expr, frozenset(), sheet, wb, addrs, names, visiting | {key})
+                _walk(defined.expr, frozenset(), sheet, wb, out, visiting | {key})
         case E.ImplicitIntersect(inner=inner):
-            _walk(inner, bound, sheet, wb, addrs, names, visiting)
+            _walk(inner, bound, sheet, wb, out, visiting)
         case E.Call(callee=callee, args=args):
-            _walk(callee, bound, sheet, wb, addrs, names, visiting)
+            _walk(callee, bound, sheet, wb, out, visiting)
             for a in args:
-                _walk(a, bound, sheet, wb, addrs, names, visiting)
+                _walk(a, bound, sheet, wb, out, visiting)
         case E.Let(bindings=bindings, body=body):
             inner_bound = set(bound)
             for name, value_expr in bindings:
-                _walk(value_expr, frozenset(inner_bound), sheet, wb, addrs, names, visiting)
+                _walk(value_expr, frozenset(inner_bound), sheet, wb, out, visiting)
                 inner_bound.add(name.casefold())
-            _walk(body, frozenset(inner_bound), sheet, wb, addrs, names, visiting)
+            _walk(body, frozenset(inner_bound), sheet, wb, out, visiting)
         case E.Lambda(params=params, body=body):
             inner = frozenset(bound | {p.name.casefold() for p in params})
-            _walk(body, inner, sheet, wb, addrs, names, visiting)
+            _walk(body, inner, sheet, wb, out, visiting)
         case E.BinaryOp(left=left, right=right):
-            _walk(left, bound, sheet, wb, addrs, names, visiting)
-            _walk(right, bound, sheet, wb, addrs, names, visiting)
+            _walk(left, bound, sheet, wb, out, visiting)
+            _walk(right, bound, sheet, wb, out, visiting)
         case E.UnaryOp(operand=operand) | E.PercentPostfix(operand=operand):
-            _walk(operand, bound, sheet, wb, addrs, names, visiting)
+            _walk(operand, bound, sheet, wb, out, visiting)
         case _:
             pass
 

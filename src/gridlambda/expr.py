@@ -38,20 +38,24 @@ class Literal(Expr):
     """A constant: a float, text, a bool, an ``ErrorValue``, an ``Array`` of
     those (an array literal) or ``OMITTED`` (an empty argument slot).
 
-    Equality also compares the type of the value, so ``TRUE`` is not ``1``
-    and a date serial is not the plain number."""
+    Equality also compares the type of the value, and of each element of an
+    array, so ``TRUE`` is not ``1`` and a date serial is not the plain number,
+    inside an array literal as well."""
 
     value: object
 
     def __eq__(self, other) -> bool:
-        return (
-            type(other) is Literal
-            and type(self.value) is type(other.value)
-            and self.value == other.value
-        )
+        return type(other) is Literal and _typed(self.value) == _typed(other.value)
 
     def __hash__(self) -> int:
-        return hash((type(self.value), self.value))
+        return hash(_typed(self.value))
+
+
+def _typed(value):
+    """``value`` paired with its type; an array pairs each element."""
+    if isinstance(value, Array):
+        return Array, tuple(tuple(map(_typed, row)) for row in value.rows)
+    return type(value), value
 
 
 @dataclass(frozen=True)

@@ -403,7 +403,13 @@ def _sort(ctx, array, index=OMITTED, order=OMITTED):
 # Reductions
 
 
-def _walk_reduction(args, collect_direct, collect_cell):
+def _total_count(args, skip_bad_direct=False):
+    """(total, count) of the numbers in ``args``, added left to right, or the
+    first error met. A direct scalar argument coerces, and one that cannot is
+    its error, or skipped under ``skip_bad_direct``; cells inside arrays count
+    only when they are numbers (Excel's split behavior)."""
+    total = 0.0
+    count = 0
     for arg in args:
         if isinstance(arg, ErrorValue):
             return arg
@@ -413,78 +419,35 @@ def _walk_reduction(args, collect_direct, collect_cell):
             for cell in arg.cells():
                 if isinstance(cell, ErrorValue):
                     return cell
-                collect_cell(cell)
-        elif arg is OMITTED or arg is EMPTY:
-            continue
-        else:
-            out = collect_direct(arg)
-            if isinstance(out, ErrorValue):
-                return out
-    return None
-
-
-def _sum_count(args):
-    """Shared SUM/COUNT walk. Direct scalar arguments coerce; cells inside
-    arrays count only when they are numbers (Excel's split behavior)."""
-    total = 0.0
-    count = 0
-
-    def direct(v):
-        nonlocal total, count
-        n = coerce_to_number(v)
-        if isinstance(n, ErrorValue):
-            return n
-        total += n
-        count += 1
-        return None
-
-    def cell(v):
-        nonlocal total, count
-        if isinstance(v, bool) or isinstance(v, str) or v is EMPTY:
-            return
-        if isinstance(v, (int, float)):
-            total += float(v)
+                if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+                    total += float(cell)
+                    count += 1
+        elif arg is not OMITTED and arg is not EMPTY:
+            n = coerce_to_number(arg)
+            if isinstance(n, ErrorValue):
+                if skip_bad_direct:
+                    continue
+                return n
+            total += n
             count += 1
-
-    err = _walk_reduction(args, direct, cell)
-    if err is not None:
-        return err
     return total, count
 
 
 @register("SUM", 0, 255)
 def _sum(ctx, *args):
-    out = _sum_count(args)
-    if isinstance(out, ErrorValue):
-        return out
-    return _finite_or_num_error(out[0])
+    out = _total_count(args)
+    return out if isinstance(out, ErrorValue) else _finite_or_num_error(out[0])
 
 
 @register("COUNT", 1, 255)
 def _count(ctx, *args):
-    total = 0
-
-    def direct(v):
-        nonlocal total
-        n = coerce_to_number(v)
-        if not isinstance(n, ErrorValue):
-            total += 1
-        return None
-
-    def cell(v):
-        nonlocal total
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            total += 1
-
-    err = _walk_reduction(args, direct, cell)
-    if err is not None:
-        return err
-    return float(total)
+    out = _total_count(args, skip_bad_direct=True)
+    return out if isinstance(out, ErrorValue) else float(out[1])
 
 
 @register("AVERAGE", 1, 255)
 def _average(ctx, *args):
-    out = _sum_count(args)
+    out = _total_count(args)
     if isinstance(out, ErrorValue):
         return out
     total, count = out

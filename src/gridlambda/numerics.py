@@ -133,22 +133,6 @@ def rk4_integrate(x0, t0: float, cfg: RK4Config, deriv) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CraneState:
-    y: float
-    theta: float
-    v: float
-    q: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.y, self.theta, self.v, self.q])
-
-    @staticmethod
-    def from_vector(vec) -> "CraneState":
-        y, theta, v, q = (float(v) for v in vec)
-        return CraneState(y, theta, v, q)
-
-
-@dataclass(frozen=True)
 class ControlProfile:
     """Antisymmetric rest-to-rest push profile: +u0, -f*u0, +f*u0, -u0 over
     four segments, zero afterwards. ``eps`` couples swing into the cart
@@ -192,8 +176,6 @@ def control_input(profile: ControlProfile, t: float) -> float:
 
 def crane_derivative(state, t: float, profile: ControlProfile) -> np.ndarray:
     """Time derivative of the crane state [y, theta, v, q]."""
-    if isinstance(state, CraneState):
-        state = state.as_vector()
     y, theta, v, q = state
     u = control_input(profile, t)
     return np.array([v, q, profile.eps * theta + u, -theta - u])

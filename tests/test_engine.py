@@ -103,7 +103,7 @@ def test_untaken_branch_still_creates_edge():
     wb = Workbook()
     wb.set_cell("A1", "=IF(TRUE, 1, B9)")
     wb.recalculate()
-    assert ("sheet1", 9, 2) in wb._deps_out[("sheet1", 1, 1)]
+    assert ("sheet1", 9, 2) in wb.cells[("sheet1", 1, 1)].reads
 
 
 # -- cycles --------------------------------------------------------------------
@@ -240,8 +240,11 @@ def test_no_partial_spills_and_exclusive_membership():
     assert wb.spill_region("B1") is None
     assert wb.spill_region("C1") == (2, 1)
     regions = [
-        set(wb._region_cells(anchor, shape)) for anchor, shape in wb._regions.items()
+        set(wb._region_cells(anchor, wb.spill_region(anchor)))
+        for anchor in wb.cells
+        if wb.spill_region(anchor) is not None
     ]
+    assert len(regions) == 2
     for i, a in enumerate(regions):
         for b in regions[i + 1:]:
             assert not (a & b)
@@ -537,6 +540,16 @@ def test_api_numbers_are_stored_as_finite_floats():
     assert render_cell(wb.evaluate_formula("=d")) == "2013-10-01"
 
 
+def test_api_ints_beyond_the_double_range_are_num_errors():
+    wb = Workbook()
+    wb.set_cell("A1", 10**400)
+    wb.define_name("k", -(10**400))
+    wb.set_cell("A2", "=k")
+    wb.recalculate()
+    assert kind(wb.cell_value("Sheet1", 1, 1)) == ErrorKind.NUM
+    assert kind(wb.cell_value("Sheet1", 2, 1)) == ErrorKind.NUM
+
+
 def test_failed_set_cell_leaves_the_workbook_unchanged():
     wb = Workbook()
     wb.set_cell("A3", 7.0)
@@ -579,7 +592,7 @@ def test_late_defined_name_in_call_position():
     assert wb.cell_value("Sheet1", 1, 1) == 2.0
     # Builtins can never be defined, so calls to them are not wired as names.
     wb.set_cell("A2", "=SUM(1, 2) + IF(TRUE, 1)")
-    assert "sum" not in wb._name_refs and "if" not in wb._name_refs
+    assert "sum" not in wb._deps_in and "if" not in wb._deps_in
 
 
 def test_overflowing_cell_does_not_abort_recalculation():
@@ -641,7 +654,7 @@ def test_cell_rewired_away_from_name_is_not_reevaluated():
     assert wb.cell_value("Sheet1", 1, 1) == 5.0
     assert wb.cell_value("Sheet1", 2, 1) == 12.0
     wb.clear_cell("A2")
-    assert "foo" not in wb._name_refs
+    assert "foo" not in wb._deps_in
 
 
 def test_replacing_a_spilling_formula_matches_a_fresh_load():

@@ -315,6 +315,20 @@ def test_sum_ignores_booleans_in_arrays(wb):
     assert wb.evaluate_formula('=SUM(VSTACK(1, TRUE, "7", 2))') == 3.0
 
 
+def test_sum_accumulates_left_to_right(wb):
+    # Compensated summation would give 1; the engine adds in argument order.
+    assert wb.evaluate_formula("=SUM(1e16, 1, -1e16)") == 0.0
+    assert wb.evaluate_formula("=SUM({1e16;1;-1e16})") == 0.0
+    assert wb.evaluate_formula("=AVERAGE(1e16, 1, -1e16)") == 0.0
+
+
+def test_reduction_errors_win_in_argument_order(wb):
+    assert kind(wb.evaluate_formula('=SUM(1, "abc", 1/0)')) == ErrorKind.VALUE
+    assert kind(wb.evaluate_formula('=SUM({1;#N/A}, "abc")')) == ErrorKind.NA
+    assert kind(wb.evaluate_formula('=COUNT(1, "abc", {2;#DIV/0!})')) == ErrorKind.DIV0
+    assert wb.evaluate_formula('=COUNT(1, "abc", TRUE, "2")') == 3.0
+
+
 def test_sum_direct_scalars_coerce(wb):
     assert wb.evaluate_formula('=SUM(1, TRUE, "2")') == 4.0
     assert kind(wb.evaluate_formula('=SUM(1, "abc")')) == ErrorKind.VALUE

@@ -7,7 +7,6 @@ import pytest
 
 from gridlambda.numerics import (
     ControlProfile,
-    CraneState,
     RK4Config,
     control_input,
     convolve_direct,
@@ -180,12 +179,6 @@ def test_control_profile_segments():
     assert [control_input(profile, t) for t in (0.0, 1.9, 2.0, 3.9, 4.0, 5.9, 6.0, 7.9, 8.0, 99.0)] == [
         1.0, 1.0, -0.25, -0.25, 0.25, 0.25, -1.0, -1.0, 0.0, 0.0,
     ]
-
-
-def test_crane_state_vector_layout():
-    s = CraneState(y=1.0, theta=2.0, v=3.0, q=4.0)
-    assert s.as_vector().tolist() == [1.0, 2.0, 3.0, 4.0]
-    assert CraneState.from_vector([1.0, 2.0, 3.0, 4.0]) == s
 
 
 def test_free_swing_conserves_energy():

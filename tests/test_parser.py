@@ -73,6 +73,13 @@ def test_literal_equality_compares_the_value_type():
     assert parse_formula("=TRUE") == E.Literal(True) != parse_formula("=1")
 
 
+def test_array_literal_equality_compares_each_element_type():
+    assert parse_formula("={TRUE}") != parse_formula("={1}")
+    assert parse_formula('={1,"a";TRUE,#N/A}') == parse_formula('={1,"a";TRUE,#N/A}')
+    assert hash(parse_formula("={1,2}")) == hash(parse_formula("={1,2}"))
+    assert E.Literal(Array(((DateSerial(5),),))) != E.Literal(Array(((5.0,),)))
+
+
 def test_percent_postfix():
     assert parse_formula("=5%") == E.PercentPostfix(E.Literal(5.0))
 
