@@ -197,11 +197,13 @@ class Workbook:
         return key
 
     def _sheet_key(self, name: str | None) -> str:
-        return self._ensure_sheet(name if name else self.default_sheet)
+        # Reads only casefold: a sheet and its spelling are registered by a
+        # ``sheet`` section or by ``address``, never by a reference.
+        return (name if name else self.default_sheet).casefold()
 
     def address(self, text: str, sheet: str | None = None) -> Address:
         sheet_name, row, col = parse_address(text, sheet or self.default_sheet)
-        return (self._sheet_key(sheet_name), row, col)
+        return (self._ensure_sheet(sheet_name), row, col)
 
     # -- content editing
 

@@ -456,6 +456,19 @@ def test_sheet_names_case_insensitive_but_preserved():
     assert wb.sheet_names["data"] == "Data"
 
 
+def test_reading_a_sheet_does_not_register_it():
+    wb = Workbook()
+    assert wb.evaluate_formula("=Nope!A1+1") == 1.0
+    assert wb.sheet_names == {"sheet1": "Sheet1"}
+
+
+def test_sheet_section_sets_the_spelling_a_reference_saw_first():
+    wb = load_workbook_text("A1 := =nope!A1+1\nsheet Nope\nA1 := 5\n")
+    wb.recalculate()
+    assert wb.sheet_names["nope"] == "Nope"
+    assert wb.cell_value("Sheet1", 1, 1) == 6.0
+
+
 # -- spill interaction stress ---------------------------------------------------
 
 
