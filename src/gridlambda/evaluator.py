@@ -6,6 +6,7 @@ raised. Workbook state is reached only through the context's workbook handle.
 
 from __future__ import annotations
 
+import inspect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 from . import expr as E
 from .values import (
     DIV0,
+    EMPTY,
     NAME_ERROR,
     NUM_ERROR,
     OMITTED,
@@ -125,14 +127,34 @@ class Builtin:
     max_args: int
     impl: object
     raw: bool = False  # raw builtins receive unevaluated argument expressions
+    # One entry per positional parameter after ``ctx``: its coercer, or None
+    # for a value passed unchanged. Empty when no parameter has a coercer.
+    coercers: tuple = ()
 
 
 def register(name: str, min_args: int, max_args: int, raw: bool = False):
     def deco(fn):
-        BUILTINS[name.casefold()] = Builtin(name, min_args, max_args, fn, raw)
+        coercers = () if raw else _coercers(fn)
+        BUILTINS[name.casefold()] = Builtin(name, min_args, max_args, fn, raw, coercers)
         return fn
 
     return deco
+
+
+def _coercers(fn) -> tuple:
+    """The coercers a builtin declares as its parameters' annotations. A
+    parameter with a default takes it for a blank or omitted argument."""
+    params = list(inspect.signature(fn, eval_str=True).parameters.values())[1:]
+    out = tuple(_coercer(p) for p in params if p.kind is p.POSITIONAL_OR_KEYWORD)
+    return out if any(out) else ()
+
+
+def _coercer(param):
+    coerce = None if param.annotation is param.empty else param.annotation
+    if coerce is None or param.default is param.empty:
+        return coerce
+    default = param.default
+    return lambda v: default if v is OMITTED or v is EMPTY else coerce(v)
 
 
 def is_builtin_name(name: str) -> bool:
@@ -430,8 +452,16 @@ def _call_builtin(builtin: Builtin, args, env: Environment, ctx: EvalContext):
         )
     if builtin.raw:
         return builtin.impl(ctx, env, args)
-    # Builtins receive error values unfiltered and decide propagation themselves.
-    return builtin.impl(ctx, *[evaluate(a, env, ctx) for a in args])
+    values = [evaluate(a, env, ctx) for a in args]
+    # Coerce in parameter order; the first failure is the result. Values of
+    # parameters without a coercer reach the body unfiltered, errors included.
+    if builtin.coercers:
+        for i, coerce in enumerate(builtin.coercers[:len(values)]):
+            if coerce is not None:
+                value = values[i] = coerce(values[i])
+                if isinstance(value, ErrorValue):
+                    return value
+    return builtin.impl(ctx, *values)
 
 
 # One handler per node class; ``evaluate`` looks up ``type(expr)`` exactly,

@@ -2,6 +2,14 @@
 
 Each builtin is total over values: failures come back as error values in or
 around the result, never as exceptions.
+
+A builtin declares how each parameter coerces as that parameter's annotation,
+one of the coercers below (``Arr``, ``Vector``, ``NumVector``, ``Num``,
+``Int``, ``Scalar``, ``Value`` or ``Fn(arity)``); ``register`` reads them once.
+The call path coerces the arguments in parameter order before the body runs,
+and the first one that fails is the call's result. A parameter with a default
+takes it for a blank or omitted argument. An unannotated parameter receives
+its value unchanged, errors included, and the body decides.
 """
 
 from __future__ import annotations
@@ -33,40 +41,79 @@ from .values import (
 )
 
 # ---------------------------------------------------------------------------
-# Shared helpers
+# Argument coercers: each maps an argument value to the value the body
+# receives, or to an error, which is then the call's result.
 
 
-def _as_array(v):
+def Arr(v):
+    """An array; any other scalar, an error included, is a 1x1 array."""
     if isinstance(v, Array):
         return v
-    if isinstance(v, Closure):
-        return VALUE_ERROR
-    if v is OMITTED:
+    if isinstance(v, Closure) or v is OMITTED:
         return VALUE_ERROR
     return Array.from_scalar(v)
 
 
-def _num_arg(v, default=None):
-    """Coerce a numeric argument; OMITTED takes the default."""
+def Vector(v):
+    """An array of one row or one column."""
+    arr = Arr(v)
+    if isinstance(arr, Array) and not arr.is_vector():
+        return VALUE_ERROR
+    return arr
+
+
+def NumVector(v):
+    """A vector of numbers, as (list of floats, is_column)."""
+    arr = Vector(v)
+    if isinstance(arr, ErrorValue):
+        return arr
+    out = []
+    for cell in arr.column():
+        n = coerce_to_number(cell)
+        if isinstance(n, ErrorValue):
+            return n
+        out.append(n)
+    return out, arr.n_cols == 1 and arr.n_rows > 1
+
+
+def Num(v):
+    """A number. Blank or omitted is #VALUE!, unless the parameter has a default."""
     if v is OMITTED or v is EMPTY:
-        if default is None:
-            return VALUE_ERROR
-        return default
+        return VALUE_ERROR
     return coerce_to_number(v)
 
 
-def _int_arg(v, default=None):
-    """A numeric argument truncated to int."""
-    n = _num_arg(v, default)
+def Int(v):
+    """A number truncated to int."""
+    n = Num(v)
     return n if isinstance(n, ErrorValue) else math.trunc(n)
 
 
-def _closure_arg(v, arity):
-    if not isinstance(v, Closure):
-        return VALUE_ERROR
-    if not (v.min_arity <= arity <= v.max_arity):
-        return ErrorValue(VALUE_ERROR.kind, f"lambda must accept {arity} argument(s)")
+def Scalar(v):
+    """One value: an error is itself, an array or a lambda is #VALUE!."""
+    return VALUE_ERROR if isinstance(v, (Array, Closure)) else v
+
+
+def Value(v):
+    """Any value but an error, which is itself."""
     return v
+
+
+def Fn(arity):
+    """A lambda that accepts ``arity`` arguments."""
+
+    def coerce(v):
+        if not isinstance(v, Closure):
+            return VALUE_ERROR
+        if not (v.min_arity <= arity <= v.max_arity):
+            return ErrorValue(VALUE_ERROR.kind, f"lambda must accept {arity} argument(s)")
+        return v
+
+    return coerce
+
+
+# ---------------------------------------------------------------------------
+# Shared helpers
 
 
 def _scalar_or_calc(v):
@@ -86,12 +133,12 @@ def _first_error(cells):
 
 @register("MAP", 2, 64)
 def _map(ctx, *args):
-    fn = args[-1]
-    arrays = [_as_array(a) for a in args[:-1]]
+    # The lambda follows a variable number of arrays, so MAP coerces its own.
+    arrays = [Arr(a) for a in args[:-1]]
     err = _first_error(arrays)
     if err is not None:
         return err
-    fn = _closure_arg(fn, len(arrays))
+    fn = Fn(len(arrays))(args[-1])
     if isinstance(fn, ErrorValue):
         return fn
     result = lift_elementwise(lambda *cells: _scalar_or_calc(apply_closure(fn, cells, ctx)), arrays)
@@ -99,22 +146,16 @@ def _map(ctx, *args):
 
 
 @register("BYROW", 2, 2)
-def _byrow(ctx, array, fn):
+def _byrow(ctx, array: Arr, fn: Fn(1)):
     return _by_axis(ctx, array, fn, axis="row")
 
 
 @register("BYCOL", 2, 2)
-def _bycol(ctx, array, fn):
+def _bycol(ctx, array: Arr, fn: Fn(1)):
     return _by_axis(ctx, array, fn, axis="col")
 
 
-def _by_axis(ctx, array, fn, axis):
-    arr = _as_array(array)
-    if isinstance(arr, ErrorValue):
-        return arr
-    fn = _closure_arg(fn, 1)
-    if isinstance(fn, ErrorValue):
-        return fn
+def _by_axis(ctx, arr, fn, axis):
     if axis == "row":
         slices = [Array((row,)) for row in arr.rows]
     else:
@@ -126,20 +167,10 @@ def _by_axis(ctx, array, fn, axis):
 
 
 @register("SCAN", 3, 3)
-def _scan(ctx, init, array, fn):
-    if isinstance(init, ErrorValue):
-        return init
-    if isinstance(init, (Array, Closure)):
-        return VALUE_ERROR
-    arr = _as_array(array)
-    if isinstance(arr, ErrorValue):
-        return arr
-    fn = _closure_arg(fn, 2)
-    if isinstance(fn, ErrorValue):
-        return fn
+def _scan(ctx, init: Scalar, array: Arr, fn: Fn(2)):
     acc = init
     out = []
-    for row in arr.rows:
+    for row in array.rows:
         out_row = []
         for cell in row:
             acc = _scalar_or_calc(apply_closure(fn, [acc, cell], ctx))
@@ -149,19 +180,11 @@ def _scan(ctx, init, array, fn):
 
 
 @register("REDUCE", 3, 3)
-def _reduce(ctx, init, array, fn):
+def _reduce(ctx, init: Value, array: Arr, fn: Fn(2)):
     # The accumulator may be an array: REDUCE is the one helper that admits
     # array results, which is what lets a scan-of-rows be built on top of it.
-    if isinstance(init, ErrorValue):
-        return init
-    arr = _as_array(array)
-    if isinstance(arr, ErrorValue):
-        return arr
-    fn = _closure_arg(fn, 2)
-    if isinstance(fn, ErrorValue):
-        return fn
     acc = init
-    for cell in arr.cells():
+    for cell in array.cells():
         acc = apply_closure(fn, [acc, cell], ctx)
         if isinstance(acc, ErrorValue):
             return acc
@@ -169,22 +192,14 @@ def _reduce(ctx, init, array, fn):
 
 
 @register("MAKEARRAY", 3, 3)
-def _makearray(ctx, rows, cols, fn):
-    nr, nc = _int_arg(rows), _int_arg(cols)
-    if isinstance(nr, ErrorValue):
-        return nr
-    if isinstance(nc, ErrorValue):
-        return nc
-    if nr < 1 or nc < 1:
+def _makearray(ctx, rows: Int, cols: Int, fn: Fn(2)):
+    if rows < 1 or cols < 1:
         return VALUE_ERROR
-    fn = _closure_arg(fn, 2)
-    if isinstance(fn, ErrorValue):
-        return fn
     out = []
-    for r in range(1, nr + 1):
+    for r in range(1, rows + 1):
         row = [
             _scalar_or_calc(apply_closure(fn, [float(r), float(c)], ctx))
-            for c in range(1, nc + 1)
+            for c in range(1, cols + 1)
         ]
         out.append(tuple(row))
     return Array(out)
@@ -238,19 +253,16 @@ def _hstack(ctx, *args):
 
 
 @register("TAKE", 2, 3)
-def _take(ctx, array, rows=OMITTED, cols=OMITTED):
+def _take(ctx, array: Arr, rows: Int = None, cols: Int = None):
     return _take_drop(array, rows, cols, mode="take")
 
 
 @register("DROP", 2, 3)
-def _drop(ctx, array, rows=OMITTED, cols=OMITTED):
+def _drop(ctx, array: Arr, rows: Int = None, cols: Int = None):
     return _take_drop(array, rows, cols, mode="drop")
 
 
-def _take_drop(array, rows, cols, mode):
-    arr = _as_array(array)
-    if isinstance(arr, ErrorValue):
-        return arr
+def _take_drop(arr, rows, cols, mode):
     row_idx = _axis_slice(arr.n_rows, rows, mode)
     if isinstance(row_idx, ErrorValue):
         return row_idx
@@ -265,14 +277,11 @@ def _take_drop(array, rows, cols, mode):
     return Array(out, origin=origin)
 
 
-def _axis_slice(extent, count, mode):
-    """Index list along one axis. Counts beyond the extent error out rather
-    than clamp, so model-sizing bugs surface."""
-    if count is OMITTED or count is EMPTY:
+def _axis_slice(extent, n, mode):
+    """Index list along one axis; no count takes all. Counts beyond the extent
+    error out rather than clamp, so model-sizing bugs surface."""
+    if n is None:
         return range(extent)
-    n = _int_arg(count)
-    if isinstance(n, ErrorValue):
-        return n
     if n == 0:
         return VALUE_ERROR
     if mode == "take":
@@ -285,69 +294,41 @@ def _axis_slice(extent, count, mode):
 
 
 @register("WRAPROWS", 2, 3)
-def _wraprows(ctx, vector, width, pad=OMITTED):
-    arr = _as_array(vector)
-    if isinstance(arr, ErrorValue):
-        return arr
-    if not arr.is_vector():
-        return VALUE_ERROR
-    w = _int_arg(width)
-    if isinstance(w, ErrorValue):
-        return w
-    if w < 1:
+def _wraprows(ctx, vector: Vector, width: Int, pad=OMITTED):
+    if width < 1:
         return VALUE_ERROR
     fill = NA if pad is OMITTED else pad
-    flat = arr.column()
+    flat = vector.column()
     rows = []
-    for start in range(0, len(flat), w):
-        chunk = flat[start:start + w]
-        rows.append(tuple(chunk) + (fill,) * (w - len(chunk)))
+    for start in range(0, len(flat), width):
+        chunk = flat[start:start + width]
+        rows.append(tuple(chunk) + (fill,) * (width - len(chunk)))
     return Array(rows)
 
 
 @register("SEQUENCE", 1, 4)
-def _sequence(ctx, rows, cols=OMITTED, start=OMITTED, step=OMITTED):
-    nr = _int_arg(rows)
-    nc = _int_arg(cols, default=1)
-    if isinstance(nr, ErrorValue):
-        return nr
-    if isinstance(nc, ErrorValue):
-        return nc
-    if nr < 1 or nc < 1:
+def _sequence(ctx, rows: Int, cols: Int = 1, start: Num = 1.0, step: Num = 1.0):
+    if rows < 1 or cols < 1:
         return VALUE_ERROR
-    first = _num_arg(start, default=1.0)
-    delta = _num_arg(step, default=1.0)
-    if isinstance(first, ErrorValue):
-        return first
-    if isinstance(delta, ErrorValue):
-        return delta
     return Array(
         tuple(
-            tuple(_finite_or_num_error(first + delta * (r * nc + c)) for c in range(nc))
-            for r in range(nr)
+            tuple(_finite_or_num_error(start + step * (r * cols + c)) for c in range(cols))
+            for r in range(rows)
         )
     )
 
 
 @register("FILTER", 2, 3)
-def _filter(ctx, array, include, if_empty=OMITTED):
-    arr = _as_array(array)
-    if isinstance(arr, ErrorValue):
-        return arr
-    inc = _as_array(include)
-    if isinstance(inc, ErrorValue):
-        return inc
-    if not inc.is_vector():
-        return VALUE_ERROR
+def _filter(ctx, arr: Arr, include: Vector, if_empty=OMITTED):
     flags = []
-    for cell in inc.column():
+    for cell in include.column():
         if isinstance(cell, ErrorValue):
             return cell
         flag = coerce_to_bool(cell)
         if isinstance(flag, ErrorValue):
             return flag
         flags.append(flag)
-    by_rows = inc.n_cols == 1
+    by_rows = include.n_cols == 1
     extent = arr.n_rows if by_rows else arr.n_cols
     if len(flags) != extent:
         return VALUE_ERROR
@@ -379,22 +360,13 @@ def _sort_key(cell):
 
 
 @register("SORT", 1, 3)
-def _sort(ctx, array, index=OMITTED, order=OMITTED):
-    arr = _as_array(array)
-    if isinstance(arr, ErrorValue):
-        return arr
-    idx = _int_arg(index, default=1)
-    if isinstance(idx, ErrorValue):
-        return idx
-    direction = _int_arg(order, default=1)
-    if isinstance(direction, ErrorValue):
-        return direction
-    if direction not in (1, -1) or not (1 <= idx <= arr.n_cols):
+def _sort(ctx, arr: Arr, index: Int = 1, order: Int = 1):
+    if order not in (1, -1) or not (1 <= index <= arr.n_cols):
         return VALUE_ERROR
     ordered = sorted(
         arr.rows,
-        key=lambda row: _sort_key(row[idx - 1]),
-        reverse=direction == -1,
+        key=lambda row: _sort_key(row[index - 1]),
+        reverse=order == -1,
     )
     return Array(ordered)
 
@@ -475,12 +447,7 @@ def _quotient(ctx, a, b):
 
 
 @register("MMULT", 2, 2)
-def _mmult(ctx, a, b):
-    ma, mb = _as_array(a), _as_array(b)
-    if isinstance(ma, ErrorValue):
-        return ma
-    if isinstance(mb, ErrorValue):
-        return mb
+def _mmult(ctx, ma: Arr, mb: Arr):
     for cell in (*ma.cells(), *mb.cells()):
         if isinstance(cell, ErrorValue):
             return cell
@@ -527,7 +494,7 @@ def _eomonth_kernel(d, months):
     date = _serial_to_date(d)
     if isinstance(date, ErrorValue):
         return date
-    k = _int_arg(months)
+    k = Int(months)
     if isinstance(k, ErrorValue):
         return k
     total = date.year * 12 + (date.month - 1) + k
@@ -575,14 +542,8 @@ def _year(ctx, d):
 
 
 @register("INDEX", 2, 3)
-def _index(ctx, array, r, c=OMITTED):
-    arr = _as_array(array)
-    if isinstance(arr, ErrorValue):
-        return arr
-    i = _int_arg(r)
-    if isinstance(i, ErrorValue):
-        return i
-    if c is OMITTED or c is EMPTY:
+def _index(ctx, arr: Arr, i: Int, j: Int = None):
+    if j is None:
         if arr.is_vector():
             if not (1 <= i <= arr.n_rows * arr.n_cols):
                 return REF_ERROR
@@ -594,9 +555,6 @@ def _index(ctx, array, r, c=OMITTED):
             sheet, r0, c0 = arr.origin
             origin = (sheet, r0 + i - 1, c0)
         return Array((arr.rows[i - 1],), origin=origin)
-    j = _int_arg(c)
-    if isinstance(j, ErrorValue):
-        return j
     if not (1 <= i <= arr.n_rows and 1 <= j <= arr.n_cols):
         return REF_ERROR
     return arr.at(i - 1, j - 1)
@@ -664,7 +622,7 @@ def _row(ctx, env, args):
             return base
         if not isinstance(base, Array) or base.origin is None:
             return VALUE_ERROR
-        i = _int_arg(evaluate(target.args[1], env, ctx))
+        i = Int(evaluate(target.args[1], env, ctx))
         if isinstance(i, ErrorValue):
             return i
         if not (1 <= i <= base.n_rows):
@@ -686,32 +644,10 @@ def _row(ctx, env, args):
 
 
 @register("CONVOLVE", 2, 2)
-def _convolve(ctx, a, b):
-    va = _numeric_vector(a)
-    if isinstance(va, ErrorValue):
-        return va
-    vb = _numeric_vector(b)
-    if isinstance(vb, ErrorValue):
-        return vb
-    out = numerics.convolve_fft(va[0], vb[0])
+def _convolve(ctx, a: NumVector, b: NumVector):
+    out = numerics.convolve_fft(a[0], b[0])
     values = [_finite_or_num_error(float(x)) for x in out]
-    return Array.col(values) if va[1] else Array.row(values)
-
-
-def _numeric_vector(v):
-    """Coerce a row or column operand to (list of floats, is_column)."""
-    arr = _as_array(v)
-    if isinstance(arr, ErrorValue):
-        return arr
-    if not arr.is_vector():
-        return VALUE_ERROR
-    out = []
-    for cell in arr.column():
-        n = coerce_to_number(cell)
-        if isinstance(n, ErrorValue):
-            return n
-        out.append(n)
-    return out, arr.n_cols == 1 and arr.n_rows > 1
+    return Array.col(values) if a[1] else Array.row(values)
 
 
 def registry() -> dict:

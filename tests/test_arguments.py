@@ -117,11 +117,12 @@ TABLE = {
     ("CONVOLVE", 1): ['#N/A', '#VALUE!', '{0,0}', '#VALUE!', '#VALUE!', '#VALUE!'],
 }
 
-# An earlier argument fails its range check and a later one fails to coerce.
+# An earlier argument fails its range check and a later one fails to coerce:
+# every argument coerces before any range check, so the coercion failure wins.
 PRECEDENCE = {
-    "=SEQUENCE(0, 1, #N/A)": "#VALUE!",
-    "=TAKE({1,2}, 5, #N/A)": "#VALUE!",
-    "=DROP({1,2}, 0, #DIV/0!)": "#VALUE!",
+    "=SEQUENCE(0, 1, #N/A)": "#N/A",
+    "=TAKE({1,2}, 5, #N/A)": "#N/A",
+    "=DROP({1,2}, 0, #DIV/0!)": "#DIV/0!",
     "=INDEX({1,2;3,4}, 9, #N/A)": "#N/A",
 }
 

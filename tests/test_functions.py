@@ -526,6 +526,17 @@ def test_registry_enumerable_and_case_insensitive():
     assert wb.evaluate_formula("=sum({1;2})") == wb.evaluate_formula("=SUM({1;2})")
 
 
+def test_registry_holds_one_coercer_per_parameter():
+    from gridlambda.functions import registry
+
+    reg = registry()
+    assert len(reg["sequence"].coercers) == 4
+    assert all(reg["sequence"].coercers)
+    # pad reaches WRAPROWS as given; SUM, MAP and the raw IF coerce nothing.
+    assert reg["wraprows"].coercers[2] is None
+    assert reg["sum"].coercers == reg["map"].coercers == reg["if"].coercers == ()
+
+
 def test_scan_nonscalar_step_is_calc(wb):
     out = wb.evaluate_formula("=SCAN(0, {1;2}, LAMBDA(a, b, {1;2}))")
     assert [kind(v) for v in col(out)] == [ErrorKind.CALC, ErrorKind.CALC]
