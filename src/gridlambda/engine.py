@@ -7,7 +7,7 @@ Each graph and layout fact is stored once:
   it, so redefining a name finds its readers in the same map as a cell does;
 - a placed spill region is the ``Array`` its anchor cell holds: a cell holds
   an ``Array`` exactly while its region is placed, and ``_member_of`` maps
-  each other cell of the region back to the anchor.
+  each other cell of the region, as ``_members`` walks them, to the anchor.
 
 Recalculation is batch and deterministic: dirty cells and their transitive
 dependents evaluate in topological order of the static reference graph;
@@ -43,6 +43,7 @@ from .values import (
     CIRC_ERROR,
     EMPTY,
     NUM_ERROR,
+    OMITTED,
     SPILL_ERROR,
     Array,
     DateSerial,
@@ -205,14 +206,23 @@ class Workbook:
         sheet_name, row, col = parse_address(text, sheet or self.default_sheet)
         return (self._ensure_sheet(sheet_name), row, col)
 
+    def _edit_address(self, addr: Address | str) -> Address:
+        """The address an edit names: text as ``address`` reads it, or a
+        (sheet, row, col) tuple on the grid, whose sheet is registered."""
+        if isinstance(addr, str):
+            return self.address(addr)
+        sheet, row, col = addr
+        if not (1 <= row <= E.GRID_MAX_ROWS and 1 <= col <= E.GRID_MAX_COLS):
+            raise ValueError(f"not a cell address: {addr!r}")
+        return (self._ensure_sheet(sheet), row, col)
+
     # -- content editing
 
     def set_cell(self, addr: Address | str, content) -> None:
         """Assign a cell: formula text, a parsed Expr or a literal value, as
         ``_content_expr`` reads them. ``None`` clears the cell. Content that
         fails to parse raises and leaves the workbook unchanged."""
-        if isinstance(addr, str):
-            addr = self.address(addr)
+        addr = self._edit_address(addr)
         if content is None:
             self.clear_cell(addr)
             return
@@ -224,8 +234,7 @@ class Workbook:
         self._touch_layout(addr)
 
     def clear_cell(self, addr: Address | str) -> None:
-        if isinstance(addr, str):
-            addr = self.address(addr)
+        addr = self._edit_address(addr)
         # Dirtying the address is enough: ``_closure`` walks its readers.
         if self._release(addr):
             del self.cells[addr]
@@ -262,14 +271,14 @@ class Workbook:
         if cell is None:
             return False
         self._unwire(addr, cell)
-        for member in self._vacate(addr):
+        for member in self._members(addr, self._vacate(addr)):
             self._dirty.update(self._deps_in.get(member, ()))
         return True
 
     def _touch_layout(self, addr: Address) -> None:
         """Content changes can collide with a live region or unblock a failed one."""
         anchor = self._member_of.get(addr)
-        if anchor is not None and anchor != addr:
+        if anchor is not None:
             self._dirty.add(anchor)
         self._dirty.update(self._blocked)
 
@@ -350,13 +359,15 @@ class Workbook:
 
     def _evaluate(self, expr: E.Expr, caller: Address | None):
         """Evaluate ``expr`` as seen from ``caller``. Evaluation is total: an
-        exception that escapes the evaluator becomes #NUM!."""
+        exception that escapes the evaluator becomes #NUM!. An omitted
+        argument that reaches the result is blank."""
         try:
-            return evaluate(expr, Environment(), self._context(caller))
+            value = evaluate(expr, Environment(), self._context(caller))
         except RecursionError:
             return ErrorValue(NUM_ERROR.kind, "evaluation too deeply nested")
         except Exception as exc:
             return ErrorValue(NUM_ERROR.kind, f"{type(exc).__name__}: {exc}")
+        return EMPTY if value is OMITTED else value
 
     def recalculate(self) -> CalcReport:
         return run_deep(self._recalculate, self.depth_limit)
@@ -389,9 +400,8 @@ class Workbook:
             readers = set(self._deps_in.get(addr, ()))
             arr = self._placed(addr)
             if arr is not None:
-                for member in self._region_cells(addr, arr.shape):
-                    if member != addr:
-                        readers.update(self._deps_in.get(member, ()))
+                for member in self._members(addr, arr.shape):
+                    readers.update(self._deps_in.get(member, ()))
             for reader in readers:
                 if reader not in seen:
                     seen.add(reader)
@@ -441,75 +451,79 @@ class Workbook:
         return next_dirty
 
     def _set_cell_result(self, addr, value, report, evaluated, work, next_dirty):
-        cell = self.cells[addr]
+        old = self._vacate(addr)
         if isinstance(value, Array):
-            result, changed = self._place_spill(addr, value)
-            cell.value = result
-            if isinstance(result, ErrorValue):
-                report.errors.append((addr, result))
-            else:
-                report.placements += 1
-        else:
-            changed = self._vacate(addr)
-            cell.value = value
-            if isinstance(value, ErrorValue):
-                report.errors.append((addr, value))
-        # Exposure of these addresses changed. Readers already evaluated this
-        # pass (or outside the pass entirely) saw stale values and go around
-        # again; readers still queued will pick up fresh values in order.
-        for member in changed:
-            for reader in self._deps_in.get(member, ()):
-                if reader not in work or reader in evaluated:
-                    next_dirty.add(reader)
+            value = self._place_spill(addr, value, next_dirty)
+        self.cells[addr].value = value
+        if isinstance(value, ErrorValue):
+            report.errors.append((addr, value))
+        elif isinstance(value, Array):
+            report.placements += 1
+        new = self.spill_region(addr)
+        # Exposure of the old and new members changed. Readers already
+        # evaluated this pass (or outside the pass entirely) saw stale values
+        # and go around again; readers still queued pick up fresh values.
+        for shape in {old, new}:
+            for member in self._members(addr, shape):
+                for reader in self._deps_in.get(member, ()):
+                    if reader not in work or reader in evaluated:
+                        next_dirty.add(reader)
+        if old is not None and (new is None or new[0] < old[0] or new[1] < old[1]):
+            # Cells the old region held are free: blocked anchors try again.
+            next_dirty.update(self._blocked - {addr})
 
-    def _region_cells(self, anchor: Address, shape: tuple[int, int]):
+    def _members(self, anchor: Address, shape: tuple[int, int] | None):
+        """The cells of the region of ``shape`` at ``anchor`` other than the
+        anchor; none when ``shape`` is None."""
         sheet, row, col = anchor
-        for r in range(shape[0]):
-            for c in range(shape[1]):
-                yield (sheet, row + r, col + c)
+        nr, nc = shape or (0, 0)
+        for r in range(row, row + nr):
+            for c in range(col, col + nc):
+                if r != row or c != col:
+                    yield (sheet, r, c)
 
-    def _vacate(self, anchor: Address) -> set[Address]:
+    def _vacate(self, anchor: Address) -> tuple[int, int] | None:
         """Drop the region placed at ``anchor``, the Array the cell holds, and
-        clear that value, so a second call is a no-op. Returns the members
-        whose exposure changed."""
+        clear that value, so a second call is a no-op. Returns the shape
+        vacated, or None."""
         self._blocked.discard(anchor)
         cell = self.cells[anchor]
         arr = cell.value
         if not isinstance(arr, Array):
-            return set()
+            return None
         cell.value = None
-        members = set(self._region_cells(anchor, arr.shape))
-        for member in members:
-            if self._member_of.get(member) == anchor:
-                del self._member_of[member]
-        members.discard(anchor)
-        return members
+        for member in self._members(anchor, arr.shape):
+            del self._member_of[member]
+        return arr.shape
 
-    def _place_spill(self, anchor: Address, arr: Array):
-        """Lay out ``arr``'s spill region at ``anchor`` if every non-anchor
-        target cell is free. Returns (stored value, changed member set)."""
-        old_members = self._vacate(anchor)
+    def _place_spill(self, anchor: Address, arr: Array, next_dirty: set[Address]):
+        """Lay out ``arr``'s region at the vacated ``anchor`` and return the
+        value the cell stores: ``arr`` placed, or #SPILL! when the grid edge,
+        content or an earlier anchor's region (in address order) is in the
+        way. A later anchor's region gives way and that anchor goes around
+        again, so the layout depends on content, not on the order of edits."""
         sheet, row, col = anchor
         nr, nc = arr.shape
         blocker = None
         if row + nr - 1 > E.GRID_MAX_ROWS or col + nc - 1 > E.GRID_MAX_COLS:
             blocker = "the grid edge"
         else:
-            for member in self._region_cells(anchor, (nr, nc)):
-                if member == anchor:
-                    continue
-                if member in self.cells or member in self._member_of:
+            for member in self._members(anchor, arr.shape):
+                holder = self._member_of.get(member)
+                if member in self.cells or (holder is not None and holder < anchor):
                     blocker = _format_address(member, self.sheet_names)
                     break
         if blocker is not None:
             self._blocked.add(anchor)
-            return ErrorValue(SPILL_ERROR.kind, f"blocked by {blocker}"), old_members
-        new_members = set()
-        for member in self._region_cells(anchor, (nr, nc)):
-            if member != anchor:
-                self._member_of[member] = anchor
-                new_members.add(member)
-        return Array(arr.rows, origin=anchor), old_members | new_members
+            return ErrorValue(SPILL_ERROR.kind, f"blocked by {blocker}")
+        for member in self._members(anchor, arr.shape):
+            later = self._member_of.get(member)
+            if later is not None:
+                for evicted in self._members(later, self._vacate(later)):
+                    next_dirty.update(self._deps_in.get(evicted, ()))
+                next_dirty.update(self._blocked, (later,))
+            self._member_of[member] = anchor
+        return Array(arr.rows, origin=anchor)
 
 
 def _format_address(addr: Address, sheet_names: dict[str, str]) -> str:

@@ -37,6 +37,7 @@ from .values import (
     coerce_to_bool,
     coerce_to_number,
     common_shape,
+    element,
     lift_elementwise,
 )
 
@@ -46,8 +47,8 @@ from .values import (
 
 
 def Arr(v):
-    """An array; any other scalar, an error included, is a 1x1 array."""
-    if isinstance(v, Array):
+    """An array; any other scalar is a 1x1 array, and an error is itself."""
+    if isinstance(v, (Array, ErrorValue)):
         return v
     if isinstance(v, Closure) or v is OMITTED:
         return VALUE_ERROR
@@ -116,13 +117,6 @@ def Fn(arity):
 # Shared helpers
 
 
-def _scalar_or_calc(v):
-    """Helper-function slices must produce scalars; anything else is #CALC!."""
-    if isinstance(v, (Array, Closure)):
-        return CALC_ERROR
-    return v
-
-
 def _first_error(cells):
     return next((c for c in cells if isinstance(c, ErrorValue)), None)
 
@@ -141,7 +135,7 @@ def _map(ctx, *args):
     fn = Fn(len(arrays))(args[-1])
     if isinstance(fn, ErrorValue):
         return fn
-    result = lift_elementwise(lambda *cells: _scalar_or_calc(apply_closure(fn, cells, ctx)), arrays)
+    result = lift_elementwise(lambda *cells: element(apply_closure(fn, cells, ctx)), arrays)
     return result.at(0, 0) if result.shape == (1, 1) else result
 
 
@@ -160,7 +154,7 @@ def _by_axis(ctx, arr, fn, axis):
         slices = [Array((row,)) for row in arr.rows]
     else:
         slices = [Array(tuple((row[c],) for row in arr.rows)) for c in range(arr.n_cols)]
-    results = [_scalar_or_calc(apply_closure(fn, [s], ctx)) for s in slices]
+    results = [element(apply_closure(fn, [s], ctx)) for s in slices]
     if axis == "row":
         return Array.col(results)
     return Array.row(results)
@@ -173,7 +167,7 @@ def _scan(ctx, init: Scalar, array: Arr, fn: Fn(2)):
     for row in array.rows:
         out_row = []
         for cell in row:
-            acc = _scalar_or_calc(apply_closure(fn, [acc, cell], ctx))
+            acc = element(apply_closure(fn, [acc, cell], ctx))
             out_row.append(acc)
         out.append(tuple(out_row))
     return Array(out)
@@ -198,7 +192,7 @@ def _makearray(ctx, rows: Int, cols: Int, fn: Fn(2)):
     out = []
     for r in range(1, rows + 1):
         row = [
-            _scalar_or_calc(apply_closure(fn, [float(r), float(c)], ctx))
+            element(apply_closure(fn, [float(r), float(c)], ctx))
             for c in range(1, cols + 1)
         ]
         out.append(tuple(row))
@@ -215,13 +209,7 @@ def _isomitted(ctx, v):
 
 
 def _stack_block(v):
-    if isinstance(v, Array):
-        return v
-    if isinstance(v, Closure):
-        return Array.from_scalar(CALC_ERROR)
-    if v is OMITTED:
-        return Array.from_scalar(EMPTY)
-    return Array.from_scalar(v)
+    return v if isinstance(v, Array) else Array.from_scalar(element(v))
 
 
 @register("VSTACK", 1, 64)
@@ -297,7 +285,7 @@ def _axis_slice(extent, n, mode):
 def _wraprows(ctx, vector: Vector, width: Int, pad=OMITTED):
     if width < 1:
         return VALUE_ERROR
-    fill = NA if pad is OMITTED else pad
+    fill = NA if pad is OMITTED else element(pad)
     flat = vector.column()
     rows = []
     for start in range(0, len(flat), width):
@@ -339,7 +327,7 @@ def _filter(ctx, arr: Arr, include: Vector, if_empty=OMITTED):
         rows = [tuple(row[c] for c in keep) for row in arr.rows] if keep else []
     if not rows or not rows[0]:
         if if_empty is not OMITTED:
-            return if_empty
+            return if_empty if isinstance(if_empty, Array) else element(if_empty)
         return ErrorValue(CALC_ERROR.kind, "FILTER selected nothing")
     return Array(rows)
 
@@ -597,9 +585,7 @@ def _select_cell(cond, then_v, else_v):
     flag = coerce_to_bool(cond)
     if isinstance(flag, ErrorValue):
         return flag
-    chosen = then_v if flag else else_v
-    # Array cells hold scalars and errors only; a lambda cannot be one.
-    return CALC_ERROR if isinstance(chosen, Closure) else chosen
+    return element(then_v if flag else else_v)
 
 
 @register("ROW", 1, 1, raw=True)

@@ -185,6 +185,14 @@ class Closure:
         return f"Closure({', '.join(p.name for p in self.params)})"
 
 
+def element(v):
+    """``v`` as an array element: a scalar or an error is kept, an omitted
+    argument is blank, and an array or a lambda is #CALC!."""
+    if v is OMITTED:
+        return EMPTY
+    return CALC_ERROR if isinstance(v, (Array, Closure)) else v
+
+
 # ---------------------------------------------------------------------------
 # Coercions
 

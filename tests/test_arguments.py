@@ -50,15 +50,15 @@ INPUTS = ["#N/A", '"x"', "Z99", "", "LAMBDA(p, p)", "{1,2;3,4}"]
 
 # (builtin, position) -> the result for each input, in INPUTS order.
 TABLE = {
-    ("MAP", 0): ['{#N/A,#N/A}', '{#VALUE!,#VALUE!}', '{3,4}', '#VALUE!', '#VALUE!', '{4,6;6,8}'],
-    ("MAP", 1): ['{#N/A,#N/A}', '{#VALUE!,#VALUE!}', '{1,2}', '#VALUE!', '#VALUE!', '{2,4;4,6}'],
+    ("MAP", 0): ['#N/A', '{#VALUE!,#VALUE!}', '{3,4}', '#VALUE!', '#VALUE!', '{4,6;6,8}'],
+    ("MAP", 1): ['#N/A', '{#VALUE!,#VALUE!}', '{1,2}', '#VALUE!', '#VALUE!', '{2,4;4,6}'],
     ("MAP", 2): ['#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!'],
-    ("BYROW", 0): ['{#N/A}', '{0}', '{0}', '#VALUE!', '#VALUE!', '{3;7}'],
+    ("BYROW", 0): ['#N/A', '{0}', '{0}', '#VALUE!', '#VALUE!', '{3;7}'],
     ("BYROW", 1): ['#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '{#CALC!;#CALC!}', '#VALUE!'],
-    ("BYCOL", 0): ['{#N/A}', '{0}', '{0}', '#VALUE!', '#VALUE!', '{4,6}'],
+    ("BYCOL", 0): ['#N/A', '{0}', '{0}', '#VALUE!', '#VALUE!', '{4,6}'],
     ("BYCOL", 1): ['#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '{#CALC!,#CALC!}', '#VALUE!'],
     ("SCAN", 0): ['#N/A', '{#VALUE!,#VALUE!}', '{1,3}', '{1,3}', '#VALUE!', '#VALUE!'],
-    ("SCAN", 1): ['{#N/A}', '{#VALUE!}', '{0}', '#VALUE!', '#VALUE!', '{1,3;6,10}'],
+    ("SCAN", 1): ['#N/A', '{#VALUE!}', '{0}', '#VALUE!', '#VALUE!', '{1,3;6,10}'],
     ("SCAN", 2): ['#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!'],
     ("REDUCE", 0): ['#N/A', '#VALUE!', '3', '3', '#VALUE!', '{4,5;6,7}'],
     ("REDUCE", 1): ['#N/A', '#VALUE!', '0', '#VALUE!', '#VALUE!', '10'],
@@ -71,23 +71,23 @@ TABLE = {
     ("VSTACK", 1): ['{1,2;#N/A,#N/A}', "{1,2;'x',#N/A}", '{1,2;blank,#N/A}', '{1,2;blank,#N/A}', '{1,2;#CALC!,#N/A}', '{1,2;1,2;3,4}'],
     ("HSTACK", 0): ['{#N/A,3}', "{'x',3}", '{blank,3}', '{blank,3}', '{#CALC!,3}', '{1,2,3;3,4,#N/A}'],
     ("HSTACK", 1): ['{1,#N/A;2,#N/A}', "{1,'x';2,#N/A}", '{1,blank;2,#N/A}', '{1,blank;2,#N/A}', '{1,#CALC!;2,#N/A}', '{1,1,2;2,3,4}'],
-    ("TAKE", 0): ['{#N/A}', "{'x'}", '{blank}', '#VALUE!', '#VALUE!', '{1}'],
+    ("TAKE", 0): ['#N/A', "{'x'}", '{blank}', '#VALUE!', '#VALUE!', '{1}'],
     ("TAKE", 1): ['#N/A', '#VALUE!', '{1;3}', '{1;3}', '#VALUE!', '#VALUE!'],
     ("TAKE", 2): ['#N/A', '#VALUE!', '{1,2}', '{1,2}', '#VALUE!', '#VALUE!'],
-    ("DROP", 0): ['#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '{4}'],
+    ("DROP", 0): ['#N/A', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '{4}'],
     ("DROP", 1): ['#N/A', '#VALUE!', '{2;4}', '{2;4}', '#VALUE!', '#VALUE!'],
     ("DROP", 2): ['#N/A', '#VALUE!', '{3,4}', '{3,4}', '#VALUE!', '#VALUE!'],
-    ("WRAPROWS", 0): ['{#N/A,0}', "{'x',0}", '{blank,0}', '#VALUE!', '#VALUE!', '#VALUE!'],
+    ("WRAPROWS", 0): ['#N/A', "{'x',0}", '{blank,0}', '#VALUE!', '#VALUE!', '#VALUE!'],
     ("WRAPROWS", 1): ['#N/A', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!'],
-    ("WRAPROWS", 2): ['{1,2;3,#N/A}', "{1,2;3,'x'}", '{1,2;3,blank}', '{1,2;3,#N/A}', '{1,2;3,LAMBDA}', '{1,2;3,{1,2;3,4}}'],
+    ("WRAPROWS", 2): ['{1,2;3,#N/A}', "{1,2;3,'x'}", '{1,2;3,blank}', '{1,2;3,#N/A}', '{1,2;3,#CALC!}', '{1,2;3,#CALC!}'],
     ("SEQUENCE", 0): ['#N/A', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!'],
     ("SEQUENCE", 1): ['#N/A', '#VALUE!', '{1;2}', '{1;2}', '#VALUE!', '#VALUE!'],
     ("SEQUENCE", 2): ['#N/A', '#VALUE!', '{1,2;3,4}', '{1,2;3,4}', '#VALUE!', '#VALUE!'],
     ("SEQUENCE", 3): ['#N/A', '#VALUE!', '{1,2;3,4}', '{1,2;3,4}', '#VALUE!', '#VALUE!'],
-    ("FILTER", 0): ['#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!'],
+    ("FILTER", 0): ['#N/A', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!'],
     ("FILTER", 1): ['#N/A', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!'],
     ("FILTER", 2): ['{1;3}', '{1;3}', '{1;3}', '{1;3}', '{1;3}', '{1;3}'],
-    ("SORT", 0): ['{#N/A}', "{'x'}", '{blank}', '#VALUE!', '#VALUE!', '{3,4;1,2}'],
+    ("SORT", 0): ['#N/A', "{'x'}", '{blank}', '#VALUE!', '#VALUE!', '{3,4;1,2}'],
     ("SORT", 1): ['#N/A', '#VALUE!', '{3,1;2,2}', '{3,1;2,2}', '#VALUE!', '#VALUE!'],
     ("SORT", 2): ['#N/A', '#VALUE!', '{2,2;3,1}', '{2,2;3,1}', '#VALUE!', '#VALUE!'],
     ("SUM", 0): ['#N/A', '#VALUE!', '2', '2', '#VALUE!', '12'],
@@ -106,7 +106,7 @@ TABLE = {
     ("EOMONTH", 1): ['#N/A', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '{45046,45077;45107,45138}'],
     ("MONTH", 0): ['#N/A', '#VALUE!', '#NUM!', '#VALUE!', '#VALUE!', '{#NUM!,#NUM!;#NUM!,#NUM!}'],
     ("YEAR", 0): ['#N/A', '#VALUE!', '#NUM!', '#VALUE!', '#VALUE!', '{#NUM!,#NUM!;#NUM!,#NUM!}'],
-    ("INDEX", 0): ['#REF!', '#REF!', '#REF!', '#VALUE!', '#VALUE!', '3'],
+    ("INDEX", 0): ['#N/A', '#REF!', '#REF!', '#VALUE!', '#VALUE!', '3'],
     ("INDEX", 1): ['#N/A', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!', '#VALUE!'],
     ("INDEX", 2): ['#N/A', '#VALUE!', '{3,4}', '{3,4}', '#VALUE!', '#VALUE!'],
     ("IF", 0): ['#N/A', '#VALUE!', '2', '2', '#VALUE!', '{1,1;1,1}'],
@@ -155,14 +155,26 @@ def test_table_covers_every_builtin_and_position():
     assert set(TABLE) == {(name, pos) for name, base in BASE.items() for pos in range(len(base))}
 
 
-@pytest.mark.parametrize("name, pos", list(TABLE), ids=[f"{n}-{p}" for n, p in TABLE])
-def test_argument_failures(wb, name, pos):
-    got = []
+def results(wb, name, pos):
+    """The result of the base call of ``name`` with each of INPUTS at ``pos``."""
     for value in INPUTS:
         args = list(BASE[name])
         args[pos] = value
-        got.append(show(wb.evaluate_formula(f"={name}({', '.join(args)})")))
+        yield wb.evaluate_formula(f"={name}({', '.join(args)})")
+
+
+@pytest.mark.parametrize("name, pos", list(TABLE), ids=[f"{n}-{p}" for n, p in TABLE])
+def test_argument_failures(wb, name, pos):
+    got = [show(v) for v in results(wb, name, pos)]
     assert dict(zip(INPUTS, got)) == dict(zip(INPUTS, TABLE[name, pos]))
+
+
+@pytest.mark.parametrize("name, pos", list(TABLE), ids=[f"{n}-{p}" for n, p in TABLE])
+def test_array_elements_are_scalars_or_errors(wb, name, pos):
+    for value, result in zip(INPUTS, results(wb, name, pos)):
+        if isinstance(result, Array):
+            for cell in result.cells():
+                assert not isinstance(cell, (Array, Closure)) and cell is not OMITTED, value
 
 
 @pytest.mark.parametrize("formula", list(PRECEDENCE))

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from gridlambda import NameCollision, Workbook, WorkbookFormatError, engine, load_workbook_text
-from gridlambda.expr import Literal
+from gridlambda.expr import Literal, col_to_letters, print_expr
 from gridlambda.parser import ParseError
 from gridlambda.values import DateSerial, EMPTY, ErrorKind, ErrorValue, render_cell
 
@@ -25,6 +25,22 @@ def grid_snapshot(wb):
     for member, anchor in wb._member_of.items():
         out[member] = wb.cell_value(*member)
     return out
+
+
+def assert_matches_fresh_load(wb):
+    """Recalculate ``wb`` and check it shows what a fresh load of its content
+    shows: every name and cell written back as the text of its formula."""
+    wb.recalculate()
+    lines = [f"name {n.name} := {print_expr(n.expr)}" for n in wb.names.values()]
+    sheet = None
+    for (key, row, col), cell in sorted(wb.cells.items()):
+        if key != sheet:
+            sheet = key
+            lines.append(f"sheet {wb.sheet_names[key]}")
+        lines.append(f"{col_to_letters(col)}{row} := {print_expr(cell.formula)}")
+    fresh = load_workbook_text("\n".join(lines))
+    fresh.recalculate()
+    assert grid_snapshot(wb) == grid_snapshot(fresh)
 
 
 # -- recalculation order and determinism --------------------------------------
@@ -240,7 +256,7 @@ def test_no_partial_spills_and_exclusive_membership():
     assert wb.spill_region("B1") is None
     assert wb.spill_region("C1") == (2, 1)
     regions = [
-        set(wb._region_cells(anchor, wb.spill_region(anchor)))
+        {anchor, *wb._members(anchor, wb.spill_region(anchor))}
         for anchor in wb.cells
         if wb.spill_region(anchor) is not None
     ]
@@ -248,6 +264,36 @@ def test_no_partial_spills_and_exclusive_membership():
     for i, a in enumerate(regions):
         for b in regions[i + 1:]:
             assert not (a & b)
+
+
+def test_contested_region_goes_to_the_earlier_anchor_whatever_the_edit_order():
+    # B4:B6 and A6:B7 both want B6. B4 comes first in address order, so it
+    # holds B6 even when A6 placed its region first.
+    wb = Workbook()
+    wb.set_cell("A6", "=SEQUENCE(2,2)")
+    wb.recalculate()
+    wb.set_cell("B4", "=SEQUENCE(3,1)")
+    wb.recalculate()
+    assert wb.spill_region("B4") == (3, 1)
+    assert wb.spill_region("A6") is None
+    assert kind(wb.cell_value("Sheet1", 6, 1)) == ErrorKind.SPILL
+    assert wb.cell_value("Sheet1", 6, 2) == 3.0
+    assert_matches_fresh_load(wb)
+
+
+def test_blocked_anchor_retries_when_a_region_shrinks_in_recalculation():
+    wb = Workbook()
+    wb.define_name("N", 3)
+    wb.set_cell("B1", "=SEQUENCE(N)")
+    wb.set_cell("A2", "=SEQUENCE(1,2)")
+    wb.recalculate()
+    assert kind(wb.cell_value("Sheet1", 2, 1)) == ErrorKind.SPILL
+    wb.define_name("N", 1)
+    wb.recalculate()
+    assert wb.spill_region("B1") == (1, 1)
+    assert wb.spill_region("A2") == (1, 2)
+    assert wb.cell_value("Sheet1", 2, 2) == 2.0
+    assert_matches_fresh_load(wb)
 
 
 def test_spill_beyond_grid_bounds():
@@ -460,6 +506,25 @@ def test_reading_a_sheet_does_not_register_it():
     wb = Workbook()
     assert wb.evaluate_formula("=Nope!A1+1") == 1.0
     assert wb.sheet_names == {"sheet1": "Sheet1"}
+
+
+def test_tuple_addresses_are_checked_and_register_their_sheet():
+    wb = Workbook()
+    wb.set_cell(("Sheet1", 1, 1), 5.0)
+    wb.set_cell(("Data", 2, 2), "=A1*2")
+    wb.recalculate()
+    assert wb.evaluate_formula("=A1") == 5.0
+    assert wb.cell_value("Data", 2, 2) == 0.0
+    assert wb.sheet_names == {"sheet1": "Sheet1", "data": "Data"}
+    wb.clear_cell(("SHEET1", 1, 1))
+    wb.recalculate()
+    assert wb.evaluate_formula("=A1") is EMPTY
+    for addr in [("sheet1", 0, 0), ("sheet1", 1, 99_999), ("sheet1", 1_048_577, 1)]:
+        with pytest.raises(ValueError):
+            wb.set_cell(addr, 1.0)
+        with pytest.raises(ValueError):
+            wb.clear_cell(addr)
+    assert set(wb.cells) == {("data", 2, 2)}
 
 
 def test_sheet_section_sets_the_spelling_a_reference_saw_first():
@@ -678,10 +743,7 @@ def test_replacing_a_spilling_formula_matches_a_fresh_load():
     wb.recalculate()
     assert wb.cell_value("Sheet1", 2, 3) == 1.0
     wb.set_cell("C3", 5.0)
-    wb.recalculate()
-    fresh = load_workbook_text("C2 := =C3+1\nC3 := 5\n")
-    fresh.recalculate()
-    assert grid_snapshot(wb) == grid_snapshot(fresh)
+    assert_matches_fresh_load(wb)
     assert wb.cell_value("Sheet1", 2, 3) == 6.0
 
 
@@ -711,10 +773,7 @@ def test_load_shares_one_tree_per_formula_text():
     assert wb.cell_value("S2", 1, 2) == 31.0
     wb.set_cell("S2!A1", 4.0)
     wb.define_name("x", "=2")
-    wb.recalculate()
-    fresh = load_workbook_text(text.replace("A1 := 3", "A1 := 4").replace("x := =1", "x := =2"))
-    fresh.recalculate()
-    assert grid_snapshot(wb) == grid_snapshot(fresh)
+    assert_matches_fresh_load(wb)
     assert wb.cell_value("S1", 1, 2) == 22.0
 
 

@@ -132,6 +132,19 @@ def test_isomitted(wb):
     assert wb.evaluate_formula('=ISOMITTED("")') is False
 
 
+def test_an_omitted_argument_leaves_a_lambda_as_blank(wb):
+    from gridlambda.values import EMPTY
+
+    wb.set_cell("A1", "=LAMBDA([y], y)()")
+    wb.set_cell("A2", "=ISOMITTED(A1)")
+    wb.set_cell("A3", "=MAP({1,2}, LAMBDA(x, [y], y))")
+    wb.recalculate()
+    assert wb.cell_value("Sheet1", 1, 1) is EMPTY
+    assert wb.cell_value("Sheet1", 2, 1) is False
+    assert wb.cell_value("Sheet1", 3, 1) is EMPTY
+    assert wb.cell_value("Sheet1", 3, 2) is EMPTY
+
+
 # -- IF laziness ---------------------------------------------------------------
 
 
