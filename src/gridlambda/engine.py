@@ -502,7 +502,7 @@ class Workbook:
         content or an earlier anchor's region (in address order) is in the
         way. A later anchor's region gives way and that anchor goes around
         again, so the layout depends on content, not on the order of edits."""
-        sheet, row, col = anchor
+        _, row, col = anchor
         nr, nc = arr.shape
         blocker = None
         if row + nr - 1 > E.GRID_MAX_ROWS or col + nc - 1 > E.GRID_MAX_COLS:
