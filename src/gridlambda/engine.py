@@ -235,7 +235,7 @@ class Workbook:
 
     def clear_cell(self, addr: Address | str) -> None:
         addr = self._edit_address(addr)
-        # Dirtying the address is enough: ``_closure`` walks its readers.
+        # Dirtying the address is enough: the pass walks its readers.
         if self._release(addr):
             del self.cells[addr]
             self._dirty.add(addr)
@@ -264,15 +264,14 @@ class Workbook:
     def _release(self, addr: Address) -> bool:
         """Unwire the cell at ``addr`` and drop its spill region, dirtying the
         readers of its members, before its record is replaced or deleted. A
-        stale region would map those members to the cell in
-        ``_effective_preds``, so its new formula could read them as a self
-        edge. Returns False when ``addr`` holds no cell."""
+        stale region would give the cell those members' readers in
+        ``_readers``, so its new formula could read them as a self edge.
+        Returns False when ``addr`` holds no cell."""
         cell = self.cells.get(addr)
         if cell is None:
             return False
         self._unwire(addr, cell)
-        for member in self._members(addr, self._vacate(addr)):
-            self._dirty.update(self._deps_in.get(member, ()))
+        self._dirty |= self._member_readers(addr, self._vacate(addr))
         return True
 
     def _touch_layout(self, addr: Address) -> None:
@@ -379,8 +378,7 @@ class Workbook:
         circled: set[Address] = set()
         while pending and report.passes < _MAX_PASSES:
             report.passes += 1
-            work = self._closure(pending)
-            pending = self._run_pass(work, report, circled)
+            pending = self._run_pass(pending, report, circled)
         if pending:
             # The spill layout never settled (mutually blocking anchors).
             for addr in sorted(pending):
@@ -391,58 +389,43 @@ class Workbook:
                     report.cycles.append(addr)
         return report
 
-    def _closure(self, seeds: set[Address]) -> set[Address]:
-        """Seeds plus every transitive dependent, via cells and spill members."""
-        seen = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            addr = frontier.pop()
-            readers = set(self._deps_in.get(addr, ()))
-            arr = self._placed(addr)
-            if arr is not None:
-                for member in self._members(addr, arr.shape):
-                    readers.update(self._deps_in.get(member, ()))
-            for reader in readers:
-                if reader not in seen:
-                    seen.add(reader)
-                    frontier.append(reader)
-        return {a for a in seen if a in self.cells}
+    def _readers(self, addr: Address) -> set[Address]:
+        """The cells that read ``addr``. A read of a member of the region
+        placed at ``addr`` counts as a read of its anchor, so the anchor
+        evaluates first; a cell that reads its own spill output is its own
+        reader, a genuine cycle."""
+        readers = self._deps_in.get(addr, _NO_READS)
+        arr = self._placed(addr)
+        if arr is not None:
+            readers = readers | self._member_readers(addr, arr.shape)
+        return readers
 
-    def _effective_preds(self, addr: Address, work: set[Address]) -> set[Address]:
-        # A reference to a spill member counts as a reference to its anchor.
-        # Self edges stay: a formula reading its own cell (or its own spill
-        # output) is a genuine cycle. Name keys in ``reads`` match neither.
-        preds = set()
-        for dep in self.cells[addr].reads:
-            if dep in work:
-                preds.add(dep)
-            anchor = self._member_of.get(dep)
-            if anchor is not None and anchor in work:
-                preds.add(anchor)
-        return preds
-
-    def _run_pass(self, work, report: CalcReport, circled: set[Address]) -> set[Address]:
-        preds = {a: self._effective_preds(a, work) for a in work}
-        sccs = _tarjan_sccs(preds)
+    def _run_pass(self, seeds, report: CalcReport, circled: set[Address]) -> set[Address]:
+        """Evaluate ``seeds`` and every cell that transitively reads them, in
+        one walk along ``_readers``; return the seeds of the next pass."""
+        sccs, work = _tarjan_sccs(sorted(seeds, reverse=True), self._readers)
         next_dirty: set[Address] = set()
         evaluated: set[Address] = set()
-        for component in sccs:
+        for component in reversed(sccs):
             # Once circular within this recalculation, always circular: a
             # cell whose spill feeds itself must not flip back to placed when
             # vacating it removes the self edge.
             cyclic = (
                 len(component) > 1
-                or component[0] in preds[component[0]]
+                or component[0] in work[component[0]]
                 or component[0] in circled
             )
             for addr in sorted(component):
+                cell = self.cells.get(addr)
+                if cell is None:  # a cleared seed: only its readers evaluate
+                    continue
                 if cyclic:
                     value = CIRC_ERROR
                     if addr not in circled:
                         report.cycles.append(addr)
                     circled.add(addr)
                 else:
-                    value = self._evaluate(self.cells[addr].formula, addr)
+                    value = self._evaluate(cell.formula, addr)
                     report.evaluated += 1
                 # The cell counts as evaluated before its spill is placed, so
                 # a placement that feeds the cell's own inputs re-queues it.
@@ -464,10 +447,9 @@ class Workbook:
         # evaluated this pass (or outside the pass entirely) saw stale values
         # and go around again; readers still queued pick up fresh values.
         for shape in {old, new}:
-            for member in self._members(addr, shape):
-                for reader in self._deps_in.get(member, ()):
-                    if reader not in work or reader in evaluated:
-                        next_dirty.add(reader)
+            for reader in self._member_readers(addr, shape):
+                if reader not in work or reader in evaluated:
+                    next_dirty.add(reader)
         if old is not None and (new is None or new[0] < old[0] or new[1] < old[1]):
             # Cells the old region held are free: blocked anchors try again.
             next_dirty.update(self._blocked - {addr})
@@ -481,6 +463,11 @@ class Workbook:
             for c in range(col, col + nc):
                 if r != row or c != col:
                     yield (sheet, r, c)
+
+    def _member_readers(self, anchor: Address, shape: tuple[int, int] | None) -> set[Address]:
+        """The cells that read a member of the region of ``shape`` at ``anchor``."""
+        deps_in = self._deps_in
+        return {r for m in self._members(anchor, shape) if m in deps_in for r in deps_in[m]}
 
     def _vacate(self, anchor: Address) -> tuple[int, int] | None:
         """Drop the region placed at ``anchor``, the Array the cell holds, and
@@ -519,8 +506,7 @@ class Workbook:
         for member in self._members(anchor, arr.shape):
             later = self._member_of.get(member)
             if later is not None:
-                for evicted in self._members(later, self._vacate(later)):
-                    next_dirty.update(self._deps_in.get(evicted, ()))
+                next_dirty |= self._member_readers(later, self._vacate(later))
                 next_dirty.update(self._blocked, (later,))
             self._member_of[member] = anchor
         return Array(arr.rows, origin=anchor)
@@ -627,60 +613,55 @@ def _walk(node, bound, sheet, wb, out, visiting):
 # Strongly connected components (iterative Tarjan, deterministic order)
 
 
-def _tarjan_sccs(preds: dict[Address, set[Address]]) -> list[list[Address]]:
-    """SCCs of the dependency graph, dependencies-first.
+def _tarjan_sccs(roots, successors) -> tuple[list[list[Address]], dict]:
+    """Strongly connected components of the graph reachable from ``roots``.
 
-    ``preds`` maps node -> prerequisite nodes; the returned component order
-    guarantees a node's prerequisites appear in earlier (or the same)
-    components.
+    The walk visits ``roots`` in the order given and each node's
+    ``successors(node)`` in descending order. It returns the components, each
+    emitted after every component it reaches, and the successor set of each
+    visited node.
     """
+    succ: dict[Address, set[Address]] = {}
     index: dict[Address, int] = {}
     low: dict[Address, int] = {}
     on_stack: set[Address] = set()
     stack: list[Address] = []
     out: list[list[Address]] = []
-    counter = [0]
 
-    for root in sorted(preds):
+    for root in roots:
         if root in index:
             continue
-        call_stack = [(root, iter(sorted(preds[root])))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
+        call_stack = [(root, None)]
         while call_stack:
             node, it = call_stack[-1]
-            advanced = False
+            if it is None:  # first visit
+                index[node] = low[node] = len(index)
+                stack.append(node)
+                on_stack.add(node)
+                succ[node] = nexts = successors(node)
+                it = iter(sorted(nexts, reverse=True))
+                call_stack[-1] = (node, it)
             for nxt in it:
-                if nxt not in preds:
-                    continue
                 if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    call_stack.append((nxt, iter(sorted(preds[nxt]))))
-                    advanced = True
+                    call_stack.append((nxt, None))
                     break
                 if nxt in on_stack:
                     low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            call_stack.pop()
-            if call_stack:
-                parent = call_stack[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                out.append(component)
-    return out
+            else:
+                call_stack.pop()
+                if call_stack:
+                    parent = call_stack[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    out.append(component)
+    return out, succ
 
 
 # ---------------------------------------------------------------------------
