@@ -9,11 +9,19 @@ Each graph and layout fact is stored once:
   an ``Array`` exactly while its region is placed, and ``_member_of`` maps
   each other cell of the region, as ``_members`` walks them, to the anchor.
 
-Recalculation is batch and deterministic: dirty cells and their transitive
-dependents evaluate in topological order of the static reference graph;
-strongly connected components collapse to #CIRC! cells. Spill placement can
-shift cell/anchor relationships mid-pass, so recalculation iterates to a
-fixpoint (bounded) re-dirtying readers of any cell whose exposure changed.
+Recalculation is batch and deterministic and runs in passes. Each pass is
+one walk (Tarjan's, in descending address order) from its dirty cells along
+``_readers``: the cells it visits are the pass's work, the reverse of the
+order it finishes strongly connected components in is the evaluation order,
+and a component of more than one cell, or a cell that reads itself, is
+#CIRC!. ``_readers`` is the one place where a read of a spill member counts
+as a read of its anchor, and only for a region placed during this
+recalculation: an older region may not be placed again. Placement can shift
+cell/anchor relationships mid-pass, so the readers of any cell whose
+exposure changed seed the next pass, up to a bounded number of passes. A
+#SPILL! anchor or #CIRC! cell got its value from the layout of the
+recalculation that set it, so every later recalculation with a dirty cell
+evaluates it again.
 
 Deep lambda recursion needs far more Python stack than the default 8 MB, so
 evaluation entry points run on one long-lived worker thread with a large stack.
@@ -187,7 +195,9 @@ class Workbook:
         # Array its anchor holds. The rest of the graph and layout state:
         self._deps_in: dict[Address | str, set[Address]] = {}  # address or name key -> readers
         self._member_of: dict[Address, Address] = {}  # non-anchor region cell -> its anchor
-        self._blocked: set[Address] = set()  # anchors whose last placement was #SPILL!
+        # #SPILL! anchors and #CIRC! cells: their values came from the layout
+        # of the recalculation that set them, so the next one retries them.
+        self._retry: set[Address] = set()
         self._dirty: set[Address] = set()  # seeds of the next recalculation
 
     # -- sheets and addresses
@@ -199,22 +209,30 @@ class Workbook:
 
     def _sheet_key(self, name: str | None) -> str:
         # Reads only casefold: a sheet and its spelling are registered by a
-        # ``sheet`` section or by ``address``, never by a reference.
+        # ``sheet`` section or by an edit's address, never by a read.
         return (name if name else self.default_sheet).casefold()
 
     def address(self, text: str, sheet: str | None = None) -> Address:
         sheet_name, row, col = parse_address(text, sheet or self.default_sheet)
         return (self._ensure_sheet(sheet_name), row, col)
 
-    def _edit_address(self, addr: Address | str) -> Address:
-        """The address an edit names: text as ``address`` reads it, or a
-        (sheet, row, col) tuple on the grid, whose sheet is registered."""
+    def _read_address(self, addr: Address | str, sheet_key=None) -> Address:
+        """The address that ``addr`` names: text as ``parse_address`` reads
+        it, or a (sheet, row, col) tuple whose row and column lie on the
+        grid. ``sheet_key`` turns the sheet name into its key; the default,
+        ``_sheet_key``, adds no sheet."""
         if isinstance(addr, str):
-            return self.address(addr)
-        sheet, row, col = addr
-        if not (1 <= row <= E.GRID_MAX_ROWS and 1 <= col <= E.GRID_MAX_COLS):
-            raise ValueError(f"not a cell address: {addr!r}")
-        return (self._ensure_sheet(sheet), row, col)
+            sheet, row, col = parse_address(addr, self.default_sheet)
+        else:
+            sheet, row, col = addr
+            if not (1 <= row <= E.GRID_MAX_ROWS and 1 <= col <= E.GRID_MAX_COLS):
+                raise ValueError(f"not a cell address: {addr!r}")
+        return ((sheet_key or self._sheet_key)(sheet), row, col)
+
+    def _edit_address(self, addr: Address | str) -> Address:
+        """The address an edit names, as ``_read_address`` reads it; its sheet
+        is registered."""
+        return self._read_address(addr, self._ensure_sheet)
 
     # -- content editing
 
@@ -275,11 +293,10 @@ class Workbook:
         return True
 
     def _touch_layout(self, addr: Address) -> None:
-        """Content changes can collide with a live region or unblock a failed one."""
+        """Content at a member of a live region collides with that region."""
         anchor = self._member_of.get(addr)
         if anchor is not None:
             self._dirty.add(anchor)
-        self._dirty.update(self._blocked)
 
     # -- dependency graph
 
@@ -327,9 +344,7 @@ class Workbook:
         return self._placed((self._sheet_key(sheet), row, col))
 
     def spill_region(self, addr: Address | str) -> tuple[int, int] | None:
-        if isinstance(addr, str):
-            addr = self.address(addr)
-        arr = self._placed(addr)
+        arr = self._placed(self._read_address(addr))
         return None if arr is None else arr.shape
 
     def _placed(self, addr: Address) -> Array | None:
@@ -351,8 +366,8 @@ class Workbook:
 
     def evaluate_formula(self, text: str, caller: Address | str | None = None):
         """Evaluate formula text against the workbook (no cell is written)."""
-        if isinstance(caller, str):
-            caller = self.address(caller)
+        if caller is not None:
+            caller = self._read_address(caller)
         expr = text if isinstance(text, E.Expr) else parse_formula(text)
         return run_deep(lambda: self._evaluate(expr, caller), self.depth_limit)
 
@@ -375,10 +390,13 @@ class Workbook:
         report = CalcReport()
         pending = self._dirty
         self._dirty = set()
+        if pending:
+            pending |= self._retry
         circled: set[Address] = set()
+        placed: set[Address] = set()  # anchors placed in this recalculation
         while pending and report.passes < _MAX_PASSES:
             report.passes += 1
-            pending = self._run_pass(pending, report, circled)
+            pending = self._run_pass(pending, report, circled, placed)
         if pending:
             # The spill layout never settled (mutually blocking anchors).
             for addr in sorted(pending):
@@ -387,23 +405,31 @@ class Workbook:
                     self._vacate(addr)
                     cell.value = CIRC_ERROR
                     report.cycles.append(addr)
+        self._retry.update(report.cycles)
         return report
 
-    def _readers(self, addr: Address) -> set[Address]:
-        """The cells that read ``addr``. A read of a member of the region
-        placed at ``addr`` counts as a read of its anchor, so the anchor
-        evaluates first; a cell that reads its own spill output is its own
-        reader, a genuine cycle."""
+    def _readers(self, addr: Address, placed: set[Address]) -> set[Address]:
+        """The cells that read ``addr``. When ``addr`` is an anchor in
+        ``placed``, a read of a member of its region counts as a read of the
+        anchor, so the anchor evaluates first, and a cell that reads its own
+        spill output is its own reader, a genuine cycle. A region placed
+        before this recalculation gives no such edges: its anchor may not
+        place it again, and ``_set_cell_result`` re-queues its members'
+        readers when the anchor evaluates."""
         readers = self._deps_in.get(addr, _NO_READS)
-        arr = self._placed(addr)
+        arr = self._placed(addr) if addr in placed else None
         if arr is not None:
             readers = readers | self._member_readers(addr, arr.shape)
         return readers
 
-    def _run_pass(self, seeds, report: CalcReport, circled: set[Address]) -> set[Address]:
+    def _run_pass(
+        self, seeds, report: CalcReport, circled: set[Address], placed: set[Address]
+    ) -> set[Address]:
         """Evaluate ``seeds`` and every cell that transitively reads them, in
         one walk along ``_readers``; return the seeds of the next pass."""
-        sccs, work = _tarjan_sccs(sorted(seeds, reverse=True), self._readers)
+        sccs, work = _tarjan_sccs(
+            sorted(seeds, reverse=True), lambda addr: self._readers(addr, placed)
+        )
         next_dirty: set[Address] = set()
         evaluated: set[Address] = set()
         for component in reversed(sccs):
@@ -431,6 +457,8 @@ class Workbook:
                 # a placement that feeds the cell's own inputs re-queues it.
                 evaluated.add(addr)
                 self._set_cell_result(addr, value, report, evaluated, work, next_dirty)
+                if isinstance(cell.value, Array):
+                    placed.add(addr)
         return next_dirty
 
     def _set_cell_result(self, addr, value, report, evaluated, work, next_dirty):
@@ -452,7 +480,7 @@ class Workbook:
                     next_dirty.add(reader)
         if old is not None and (new is None or new[0] < old[0] or new[1] < old[1]):
             # Cells the old region held are free: blocked anchors try again.
-            next_dirty.update(self._blocked - {addr})
+            next_dirty.update(self._retry - {addr})
 
     def _members(self, anchor: Address, shape: tuple[int, int] | None):
         """The cells of the region of ``shape`` at ``anchor`` other than the
@@ -473,7 +501,7 @@ class Workbook:
         """Drop the region placed at ``anchor``, the Array the cell holds, and
         clear that value, so a second call is a no-op. Returns the shape
         vacated, or None."""
-        self._blocked.discard(anchor)
+        self._retry.discard(anchor)
         cell = self.cells[anchor]
         arr = cell.value
         if not isinstance(arr, Array):
@@ -501,13 +529,13 @@ class Workbook:
                     blocker = _format_address(member, self.sheet_names)
                     break
         if blocker is not None:
-            self._blocked.add(anchor)
+            self._retry.add(anchor)
             return ErrorValue(SPILL_ERROR.kind, f"blocked by {blocker}")
         for member in self._members(anchor, arr.shape):
             later = self._member_of.get(member)
             if later is not None:
                 next_dirty |= self._member_readers(later, self._vacate(later))
-                next_dirty.update(self._blocked, (later,))
+                next_dirty.update(self._retry, (later,))
             self._member_of[member] = anchor
         return Array(arr.rows, origin=anchor)
 

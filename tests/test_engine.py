@@ -9,7 +9,7 @@ import pytest
 from gridlambda import NameCollision, Workbook, WorkbookFormatError, engine, load_workbook_text
 from gridlambda.expr import Literal, col_to_letters, print_expr
 from gridlambda.parser import ParseError
-from gridlambda.values import DateSerial, EMPTY, ErrorKind, ErrorValue, render_cell
+from gridlambda.values import Closure, DateSerial, EMPTY, ErrorKind, ErrorValue, render_cell
 
 
 def kind(v):
@@ -18,12 +18,12 @@ def kind(v):
 
 
 def grid_snapshot(wb):
-    """Every visible cell value (content cells and spill members)."""
+    """Every visible cell value (content cells and spill members). A lambda
+    shows as "a lambda", since closures compare by identity."""
     out = {}
-    for addr, cell in wb.cells.items():
-        out[addr] = wb.cell_value(*addr)
-    for member, anchor in wb._member_of.items():
-        out[member] = wb.cell_value(*member)
+    for addr in [*wb.cells, *wb._member_of]:
+        value = wb.cell_value(*addr)
+        out[addr] = "a lambda" if isinstance(value, Closure) else value
     return out
 
 
@@ -505,7 +505,22 @@ def test_sheet_names_case_insensitive_but_preserved():
 def test_reading_a_sheet_does_not_register_it():
     wb = Workbook()
     assert wb.evaluate_formula("=Nope!A1+1") == 1.0
+    assert wb.spill_region("Nope!A1") is None
+    assert wb.evaluate_formula("=1", caller="Other!B2") == 1.0
     assert wb.sheet_names == {"sheet1": "Sheet1"}
+
+
+def test_read_apis_take_tuple_addresses_as_edits_do():
+    wb = Workbook()
+    wb.set_cell("A1", "=SEQUENCE(2)")
+    wb.recalculate()
+    assert wb.spill_region(("Sheet1", 1, 1)) == wb.spill_region("A1") == (2, 1)
+    assert wb.evaluate_formula("=A2", caller=("SHEET1", 3, 2)) == 2.0
+    for addr in [("sheet1", 0, 0), ("sheet1", 1, 99_999)]:
+        with pytest.raises(ValueError):
+            wb.spill_region(addr)
+        with pytest.raises(ValueError):
+            wb.evaluate_formula("=1", caller=addr)
 
 
 def test_tuple_addresses_are_checked_and_register_their_sheet():
@@ -775,6 +790,123 @@ def test_load_shares_one_tree_per_formula_text():
     wb.define_name("x", "=2")
     assert_matches_fresh_load(wb)
     assert wb.cell_value("S1", 1, 2) == 22.0
+
+
+# -- incremental recalculation equals a fresh load -------------------------------
+
+
+def test_a_member_read_across_recalculations_is_not_a_cycle():
+    wb = Workbook()
+    wb.set_cell("A5", 5.0)
+    wb.set_cell("B1", "=IF(A5>2,SEQUENCE(2),A6)")
+    wb.recalculate()
+    wb.set_cell("A5", "=IF(B2>2,SEQUENCE(3),D1)")
+    assert_matches_fresh_load(wb)
+    assert wb.cell_value("Sheet1", 5, 1) is EMPTY
+    assert wb.cell_value("Sheet1", 1, 2) is EMPTY
+
+
+def test_a_vacated_region_leaves_no_cycle_behind():
+    wb = Workbook()
+    wb.set_cell("D5", "=IF(B3>2,SEQUENCE(2),D3)")
+    wb.set_cell("B2", "=VSTACK(D5,D2)")
+    wb.recalculate()
+    wb.set_cell("B2", "=IF(A4>2,SEQUENCE(2),A1)")
+    assert_matches_fresh_load(wb)
+    assert wb.cell_value("Sheet1", 5, 4) is EMPTY
+
+
+def test_a_cell_circular_at_the_pass_limit_retries_on_the_next_edit():
+    wb = Workbook()
+    wb.set_cell("D2", "=IF(C4>2,SEQUENCE(2),C2)")
+    wb.set_cell("C3", "=SEQUENCE(2,2)")
+    wb.recalculate()
+    wb.set_cell("D3", "=TAKE(B5#,1)")
+    assert_matches_fresh_load(wb)
+    assert wb.cell_value("Sheet1", 2, 4) is EMPTY
+    assert kind(wb.cell_value("Sheet1", 3, 3)) == ErrorKind.SPILL
+
+
+def test_a_circular_cell_retries_when_a_name_is_redefined():
+    wb = Workbook()
+    wb.set_cell("C1", "=k*D6")
+    wb.define_name("Fλ", "=LAMBDA(v, SEQUENCE(2)*v)")
+    wb.set_cell("D5", "=Fλ(C2)")
+    wb.define_name("k", "=SEQUENCE(2)")
+    wb.recalculate()
+    wb.define_name("k", "=B1")
+    assert_matches_fresh_load(wb)
+    assert wb.cell_value("Sheet1", 5, 4) == 0.0
+
+
+def fuzz_edits(rng):
+    """3 to 25 random edits of A1:D6 and the names k, m and Fλ, as
+    (Workbook method, arguments...) tuples, with a recalculation after about
+    half of them."""
+
+    def cell():
+        return f"{rng.choice('ABCD')}{rng.randint(1, 6)}"
+
+    def formula():
+        a, b, name = cell(), cell(), rng.choice(["k", "m", "Fλ"])
+        (c1, c2), (r1, r2) = sorted((a[0], b[0])), sorted((a[1], b[1]))
+        return rng.choice([
+            f"={a}+{b}",
+            f"=SEQUENCE({rng.randint(1, 3)})",
+            "=SEQUENCE(2,2)",
+            f"=SUM({c1}{r1}:{c2}{r2})",
+            f"={a}#",
+            f"={name}*{a}",
+            f"={name}",
+            f"=Fλ({a})",
+            f"=TAKE({a}#,1)",
+            f"=IF({a}>2,SEQUENCE({rng.randint(2, 3)}),{b})",
+            f"=VSTACK({a},{b})",
+            f"=LET(x,{a},x+1)",
+            "=LAMBDA(x, x*2)",
+            f"={a}(3)",
+            f"=MAP({a}#, LAMBDA(x, x+1))",
+        ])
+
+    def define():
+        content = rng.choice([
+            float(rng.randint(1, 5)),
+            "=SEQUENCE(2)",
+            f"={cell()}",
+            f"={cell()}*2",
+            "=LAMBDA(v, SEQUENCE(2)*v)",
+            "=LAMBDA(v, v+1)",
+        ])
+        return ("define_name", rng.choice(["k", "m", "Fλ"]), content)
+
+    edits = []
+    for _ in range(rng.randint(3, 25)):
+        op = rng.random()
+        if op < 0.6:
+            content = float(rng.randint(1, 5)) if rng.random() < 0.3 else formula()
+            edits.append(("set_cell", cell(), content))
+        elif op < 0.75:
+            edits.append(("clear_cell", cell()))
+        elif op < 0.9:
+            edits.append(define())
+        else:
+            edits += [("clear_cell", cell()), define()]
+        if rng.random() < 0.5:
+            edits.append(("recalculate",))
+    return edits
+
+
+def test_random_edits_match_a_fresh_load():
+    mismatched = []
+    for seed in range(1000):
+        wb = Workbook()
+        for method, *args in fuzz_edits(random.Random(seed)):
+            getattr(wb, method)(*args)
+        try:
+            assert_matches_fresh_load(wb)
+        except AssertionError:
+            mismatched.append(seed)
+    assert mismatched == [], "replay with fuzz_edits(random.Random(seed))"
 
 
 # -- the evaluation worker --------------------------------------------------------
