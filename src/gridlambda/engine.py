@@ -427,9 +427,7 @@ class Workbook:
     ) -> set[Address]:
         """Evaluate ``seeds`` and every cell that transitively reads them, in
         one walk along ``_readers``; return the seeds of the next pass."""
-        sccs, work = _tarjan_sccs(
-            sorted(seeds, reverse=True), lambda addr: self._readers(addr, placed)
-        )
+        sccs, work = _tarjan_sccs(sorted(seeds, reverse=True), lambda a: self._readers(a, placed))
         next_dirty: set[Address] = set()
         evaluated: set[Address] = set()
         for component in reversed(sccs):
