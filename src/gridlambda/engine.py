@@ -12,13 +12,16 @@ Each graph and layout fact is stored once:
 Recalculation is batch and deterministic and runs in passes. Each pass is
 one walk (Tarjan's, in descending address order) from its dirty cells along
 ``_readers``: the cells it visits are the pass's work, the reverse of the
-order it finishes strongly connected components in is the evaluation order,
-and a component of more than one cell, or a cell that reads itself, is
-#CIRC!. ``_readers`` is the one place where a read of a spill member counts
-as a read of its anchor, and only for a region placed during this
-recalculation: an older region may not be placed again. Placement can shift
+order it finishes strongly connected components in is the evaluation order.
+``_readers`` is the one place where a read of a spill member counts as a
+read of its anchor. A cycle is #CIRC! when it closes through static reads
+and the member reads of regions placed during this recalculation; one that
+closes only through an older region, which its anchor may not place again,
+is evaluated in the order of its other edges. Placement can shift
 cell/anchor relationships mid-pass, so the readers of any cell whose
-exposure changed seed the next pass, up to a bounded number of passes. A
+exposure changed seed the next pass, up to a bounded number of passes. An
+anchor whose region the same earlier anchor evicts twice in one
+recalculation is #CIRC! too: the two regions would take turns for ever. A
 #SPILL! anchor or #CIRC! cell got its value from the layout of the
 recalculation that set it, so every later recalculation with a dirty cell
 evaluates it again.
@@ -101,6 +104,16 @@ class CalcReport:
     passes: int = 0
     cycles: list = field(default_factory=list)
     errors: list = field(default_factory=list)
+
+
+@dataclass
+class _Recalculation:
+    """What one recalculation keeps across its passes."""
+
+    report: CalcReport = field(default_factory=CalcReport)
+    circled: set = field(default_factory=set)  # cells set to #CIRC!
+    placed: set = field(default_factory=set)  # anchors that placed a region
+    evicted: set = field(default_factory=set)  # (anchor, earlier anchor that evicted it)
 
 
 class _EvalWorker:
@@ -387,87 +400,94 @@ class Workbook:
         return run_deep(self._recalculate, self.depth_limit)
 
     def _recalculate(self) -> CalcReport:
-        report = CalcReport()
+        calc = _Recalculation()
+        report = calc.report
         pending = self._dirty
         self._dirty = set()
         if pending:
             pending |= self._retry
-        circled: set[Address] = set()
-        placed: set[Address] = set()  # anchors placed in this recalculation
         while pending and report.passes < _MAX_PASSES:
             report.passes += 1
-            pending = self._run_pass(pending, report, circled, placed)
+            pending = self._run_pass(pending, calc)
         if pending:
-            # The spill layout never settled (mutually blocking anchors).
+            # The spill layout never settled.
             for addr in sorted(pending):
                 cell = self.cells.get(addr)
                 if cell is not None:
                     self._vacate(addr)
                     cell.value = CIRC_ERROR
-                    report.cycles.append(addr)
-        self._retry.update(report.cycles)
+                    calc.circled.add(addr)
+        report.cycles = sorted(calc.circled)
+        self._retry |= calc.circled
         return report
 
-    def _readers(self, addr: Address, placed: set[Address]) -> set[Address]:
-        """The cells that read ``addr``. When ``addr`` is an anchor in
-        ``placed``, a read of a member of its region counts as a read of the
-        anchor, so the anchor evaluates first, and a cell that reads its own
-        spill output is its own reader, a genuine cycle. A region placed
-        before this recalculation gives no such edges: its anchor may not
-        place it again, and ``_set_cell_result`` re-queues its members'
-        readers when the anchor evaluates."""
+    def _readers(self, addr: Address, placed: set[Address] | None = None) -> set[Address]:
+        """The cells that read ``addr``. When ``addr`` is the anchor of a
+        placed region, one in ``placed`` if that is given, a read of a member
+        of the region counts as a read of the anchor, so the anchor evaluates
+        first, and a cell that reads its own spill output is its own reader."""
         readers = self._deps_in.get(addr, _NO_READS)
-        arr = self._placed(addr) if addr in placed else None
+        arr = self._placed(addr) if placed is None or addr in placed else None
         if arr is not None:
             readers = readers | self._member_readers(addr, arr.shape)
         return readers
 
-    def _run_pass(
-        self, seeds, report: CalcReport, circled: set[Address], placed: set[Address]
-    ) -> set[Address]:
+    def _run_pass(self, seeds, calc: _Recalculation) -> set[Address]:
         """Evaluate ``seeds`` and every cell that transitively reads them, in
         one walk along ``_readers``; return the seeds of the next pass."""
-        sccs, work = _tarjan_sccs(sorted(seeds, reverse=True), lambda a: self._readers(a, placed))
+        sccs, work = _tarjan_sccs(sorted(seeds, reverse=True), self._readers)
         next_dirty: set[Address] = set()
         evaluated: set[Address] = set()
         for component in reversed(sccs):
-            # Once circular within this recalculation, always circular: a
-            # cell whose spill feeds itself must not flip back to placed when
-            # vacating it removes the self edge.
-            cyclic = (
-                len(component) > 1
-                or component[0] in work[component[0]]
-                or component[0] in circled
-            )
-            for addr in sorted(component):
-                cell = self.cells.get(addr)
-                if cell is None:  # a cleared seed: only its readers evaluate
-                    continue
-                if cyclic:
-                    value = CIRC_ERROR
-                    if addr not in circled:
-                        report.cycles.append(addr)
-                    circled.add(addr)
-                else:
-                    value = self._evaluate(cell.formula, addr)
-                    report.evaluated += 1
-                # The cell counts as evaluated before its spill is placed, so
-                # a placement that feeds the cell's own inputs re-queues it.
-                evaluated.add(addr)
-                self._set_cell_result(addr, value, report, evaluated, work, next_dirty)
-                if isinstance(cell.value, Array):
-                    placed.add(addr)
+            for group, cyclic in self._cycles(component, work, calc):
+                for addr in sorted(group):
+                    cell = self.cells.get(addr)
+                    if cell is None:  # a cleared seed: only its readers evaluate
+                        continue
+                    if cyclic:
+                        value = CIRC_ERROR
+                        calc.circled.add(addr)
+                    else:
+                        value = self._evaluate(cell.formula, addr)
+                        calc.report.evaluated += 1
+                    # The cell counts as evaluated before its spill is placed,
+                    # so a placement that feeds the cell's own inputs re-queues it.
+                    evaluated.add(addr)
+                    self._set_cell_result(addr, value, calc, evaluated, work, next_dirty)
         return next_dirty
 
-    def _set_cell_result(self, addr, value, report, evaluated, work, next_dirty):
+    def _cycles(self, component, work, calc: _Recalculation):
+        """The groups of a component of the pass's walk, in evaluation order,
+        each with whether its cells are #CIRC!. Of the member edges, only
+        those of regions placed in this recalculation close a cycle. An older
+        region may not be placed again, so a component that is cyclic only
+        through one is split along its other edges; a member reader that
+        evaluates before the anchor goes around again once the anchor has.
+        Once circular within this recalculation, always circular: a cell
+        whose spill feeds itself must not flip back to placed when vacating
+        it removes the self edge."""
+        head = component[0]
+        if len(component) == 1 and head not in work[head]:
+            return [(component, head in calc.circled)]
+        inside = set(component)
+        groups, succ = _tarjan_sccs(
+            sorted(component, reverse=True), lambda addr: self._readers(addr, calc.placed) & inside
+        )
+        return [
+            (group, len(group) > 1 or group[0] in succ[group[0]] or group[0] in calc.circled)
+            for group in reversed(groups)
+        ]
+
+    def _set_cell_result(self, addr, value, calc, evaluated, work, next_dirty):
         old = self._vacate(addr)
         if isinstance(value, Array):
-            value = self._place_spill(addr, value, next_dirty)
+            value = self._place_spill(addr, value, calc, next_dirty)
         self.cells[addr].value = value
         if isinstance(value, ErrorValue):
-            report.errors.append((addr, value))
+            calc.report.errors.append((addr, value))
         elif isinstance(value, Array):
-            report.placements += 1
+            calc.report.placements += 1
+            calc.placed.add(addr)
         new = self.spill_region(addr)
         # Exposure of the old and new members changed. Readers already
         # evaluated this pass (or outside the pass entirely) saw stale values
@@ -509,12 +529,16 @@ class Workbook:
             del self._member_of[member]
         return arr.shape
 
-    def _place_spill(self, anchor: Address, arr: Array, next_dirty: set[Address]):
+    def _place_spill(
+        self, anchor: Address, arr: Array, calc: _Recalculation, next_dirty: set[Address]
+    ):
         """Lay out ``arr``'s region at the vacated ``anchor`` and return the
         value the cell stores: ``arr`` placed, or #SPILL! when the grid edge,
         content or an earlier anchor's region (in address order) is in the
         way. A later anchor's region gives way and that anchor goes around
-        again, so the layout depends on content, not on the order of edits."""
+        again, so the layout depends on content, not on the order of edits.
+        Evicted twice by the same anchor in one recalculation, it goes around
+        as #CIRC!: the two regions take turns and would never settle."""
         _, row, col = anchor
         nr, nc = arr.shape
         blocker = None
@@ -534,6 +558,9 @@ class Workbook:
             if later is not None:
                 next_dirty |= self._member_readers(later, self._vacate(later))
                 next_dirty.update(self._retry, (later,))
+                if (later, anchor) in calc.evicted:
+                    calc.circled.add(later)
+                calc.evicted.add((later, anchor))
             self._member_of[member] = anchor
         return Array(arr.rows, origin=anchor)
 

@@ -816,7 +816,7 @@ def test_a_vacated_region_leaves_no_cycle_behind():
     assert wb.cell_value("Sheet1", 5, 4) is EMPTY
 
 
-def test_a_cell_circular_at_the_pass_limit_retries_on_the_next_edit():
+def test_a_circular_anchor_retries_on_the_next_edit():
     wb = Workbook()
     wb.set_cell("D2", "=IF(C4>2,SEQUENCE(2),C2)")
     wb.set_cell("C3", "=SEQUENCE(2,2)")
@@ -825,6 +825,34 @@ def test_a_cell_circular_at_the_pass_limit_retries_on_the_next_edit():
     assert_matches_fresh_load(wb)
     assert wb.cell_value("Sheet1", 2, 4) is EMPTY
     assert kind(wb.cell_value("Sheet1", 3, 3)) == ErrorKind.SPILL
+
+
+def test_regions_that_take_turns_are_circular_within_a_few_passes():
+    # D2 spills over C3's region only while that region gives C4 > 2.
+    wb = Workbook()
+    wb.set_cell("D2", "=IF(C4>2,SEQUENCE(2),C2)")
+    wb.set_cell("C3", "=SEQUENCE(2,2)")
+    assert wb.recalculate().passes <= 6
+    assert kind(wb.cell_value("Sheet1", 3, 3)) == ErrorKind.CIRCULAR
+    assert wb.cell_value("Sheet1", 2, 4) is EMPTY
+    wb.set_cell("A1", 1.0)  # an edit that neither region reads
+    assert wb.recalculate().passes <= 6
+    assert_matches_fresh_load(wb)
+
+
+def test_an_edit_reaches_a_long_chain_of_spills_in_one_pass():
+    # Each anchor reads a member of the region before it: A3 reads A2, ...
+    wb = Workbook()
+    wb.define_name("k", 1.0)
+    wb.set_cell("A1", "=k*SEQUENCE(2)")
+    for i in range(1, 70):
+        wb.set_cell(f"A{2 * i + 1}", f"=A{2 * i}*SEQUENCE(2)")
+    wb.recalculate()
+    wb.define_name("k", 2.0)
+    report = wb.recalculate()
+    assert (report.passes, report.evaluated, report.cycles) == (1, 70, [])
+    assert_matches_fresh_load(wb)
+    assert wb.cell_value("Sheet1", 140, 1) == 2.0**71
 
 
 def test_a_circular_cell_retries_when_a_name_is_redefined():
