@@ -417,6 +417,7 @@ class Workbook:
                     self._vacate(addr)
                     cell.value = CIRC_ERROR
                     calc.circled.add(addr)
+                    report.errors.append((addr, CIRC_ERROR))
         report.cycles = sorted(calc.circled)
         self._retry |= calc.circled
         return report

@@ -840,6 +840,17 @@ def test_regions_that_take_turns_are_circular_within_a_few_passes():
     assert_matches_fresh_load(wb)
 
 
+def test_cells_pending_at_the_pass_limit_are_reported_once(monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_PASSES", 2)
+    wb = Workbook()
+    wb.set_cell("D2", "=IF(C4>2,SEQUENCE(2),C2)")
+    wb.set_cell("C3", "=SEQUENCE(2,2)")
+    report = wb.recalculate()
+    assert report.passes == 2
+    circular = [addr for addr, value in report.errors if kind(value) == ErrorKind.CIRCULAR]
+    assert report.cycles == sorted(set(report.cycles)) == circular != []
+
+
 def test_an_edit_reaches_a_long_chain_of_spills_in_one_pass():
     # Each anchor reads a member of the region before it: A3 reads A2, ...
     wb = Workbook()
