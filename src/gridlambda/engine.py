@@ -17,7 +17,8 @@ order it finishes strongly connected components in is the evaluation order.
 read of its anchor. A cycle is #CIRC! when it closes through static reads
 and the member reads of regions placed during this recalculation; one that
 closes only through an older region, which its anchor may not place again,
-is evaluated in the order of its other edges. Placement can shift
+is evaluated in the order of its other edges, with that region vacated as a
+fresh load has it. Placement can shift
 cell/anchor relationships mid-pass, so the readers of any cell whose
 exposure changed seed the next pass, up to a bounded number of passes. An
 anchor whose region the same earlier anchor evicts twice in one
@@ -440,7 +441,7 @@ class Workbook:
         next_dirty: set[Address] = set()
         evaluated: set[Address] = set()
         for component in reversed(sccs):
-            for group, cyclic in self._cycles(component, work, calc):
+            for group, cyclic in self._cycles(component, work, calc, next_dirty):
                 for addr in sorted(group):
                     cell = self.cells.get(addr)
                     if cell is None:  # a cleared seed: only its readers evaluate
@@ -457,19 +458,24 @@ class Workbook:
                     self._set_cell_result(addr, value, calc, evaluated, work, next_dirty)
         return next_dirty
 
-    def _cycles(self, component, work, calc: _Recalculation):
+    def _cycles(self, component, work, calc: _Recalculation, next_dirty: set[Address]):
         """The groups of a component of the pass's walk, in evaluation order,
         each with whether its cells are #CIRC!. Of the member edges, only
         those of regions placed in this recalculation close a cycle. An older
         region may not be placed again, so a component that is cyclic only
-        through one is split along its other edges; a member reader that
-        evaluates before the anchor goes around again once the anchor has.
-        Once circular within this recalculation, always circular: a cell
-        whose spill feeds itself must not flip back to placed when vacating
-        it removes the self edge."""
+        through one is split along its other edges. Its older regions are
+        vacated first, so a member reader that evaluates before the anchor
+        reads a blank, as in a fresh load, and goes around again if the
+        anchor places the region again. Once circular within this
+        recalculation, always circular: a cell whose spill feeds itself must
+        not flip back to placed when vacating it removes the self edge."""
         head = component[0]
         if len(component) == 1 and head not in work[head]:
             return [(component, head in calc.circled)]
+        for addr in component:
+            if addr not in calc.placed and self._placed(addr) is not None:
+                self._vacate(addr)
+                next_dirty |= self._retry  # the freed cells may unblock them
         inside = set(component)
         groups, succ = _tarjan_sccs(
             sorted(component, reverse=True), lambda addr: self._readers(addr, calc.placed) & inside

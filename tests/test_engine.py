@@ -827,6 +827,37 @@ def test_a_circular_anchor_retries_on_the_next_edit():
     assert kind(wb.cell_value("Sheet1", 3, 3)) == ErrorKind.SPILL
 
 
+@pytest.mark.parametrize(
+    "cells, edit, expected",
+    [
+        # D5 reads C3 of B3's region, and B3 spills only while D5 > 1.
+        (
+            [("D4", "=SEQUENCE(2,2)"), ("B3", "=IF(D5>1,SEQUENCE(1,2),A2)")],
+            ("D5", "=C3*SEQUENCE(2)"),
+            {(3, 2): EMPTY, (5, 4): 0.0, (6, 4): 0.0},
+        ),
+        (
+            [
+                ("B1", "=IF(A3>1,SEQUENCE(1,2),D5)"),
+                ("C2", "=SEQUENCE(2,2)"),
+                ("A3", "=IF(B3>2,SEQUENCE(2),D2)"),
+            ],
+            ("D2", "=C1+1"),
+            {(1, 2): EMPTY, (2, 4): 1.0, (3, 1): 1.0},
+        ),
+    ],
+)
+def test_a_cycle_only_through_an_older_region_reads_it_blank(cells, edit, expected):
+    wb = Workbook()
+    for addr, content in cells:
+        wb.set_cell(addr, content)
+    wb.recalculate()
+    wb.set_cell(*edit)
+    assert_matches_fresh_load(wb)
+    for (row, col), value in expected.items():
+        assert wb.cell_value("Sheet1", row, col) == value
+
+
 def test_regions_that_take_turns_are_circular_within_a_few_passes():
     # D2 spills over C3's region only while that region gives C4 > 2.
     wb = Workbook()
