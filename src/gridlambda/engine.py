@@ -475,7 +475,7 @@ class Workbook:
         for addr in component:
             if addr not in calc.placed and self._placed(addr) is not None:
                 self._vacate(addr)
-                next_dirty |= self._retry  # the freed cells may unblock them
+                next_dirty |= self._retry  # the freed cells may unblock an anchor
         inside = set(component)
         groups, succ = _tarjan_sccs(
             sorted(component, reverse=True), lambda addr: self._readers(addr, calc.placed) & inside
