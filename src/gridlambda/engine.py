@@ -6,8 +6,21 @@ Each graph and layout fact is stored once:
 - ``Workbook._deps_in`` maps an address or a name key to the cells that read
   it, so redefining a name finds its readers in the same map as a cell does;
 - a placed spill region is the ``Array`` its anchor cell holds: a cell holds
-  an ``Array`` exactly while its region is placed, and ``_member_of`` maps
-  each other cell of the region, as ``_members`` walks them, to the anchor.
+  an ``Array`` exactly while its region is placed.
+
+A per-sheet column index finds the layout by bisection, so placing, vacating
+and finding the readers of a region cost O(columns x log n + hits), not
+O(area):
+- ``_spans`` keeps, per (sheet, column), the row intervals of the placed
+  regions less their anchor cells. Content, or a new anchor, may sit in an
+  older region until that region's anchor evaluates again; leaving anchor
+  cells out keeps the intervals disjoint all the same, so one bisection
+  answers which region holds a cell (``_holder``, for ``cell_value`` and
+  ``_touch_layout``) and a range of them which regions overlap a rectangle
+  (``_place_spill``: an earlier region blocks, a later one is evicted);
+- ``_rows`` keeps, per (sheet, column), the sorted rows whose address holds a
+  cell or is read (a key of ``_deps_in``), so a rectangle's content
+  blockers and member readers are found without visiting its empty cells.
 
 Recalculation is batch and deterministic and runs in passes. Each pass is
 one walk (Tarjan's, in descending address order) from its dirty cells along
@@ -35,6 +48,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+from bisect import bisect_left, bisect_right, insort
 import queue
 import sys
 import threading
@@ -208,7 +222,12 @@ class Workbook:
         # Edges out of a cell are its ``Cell.reads``; a placed region is the
         # Array its anchor holds. The rest of the graph and layout state:
         self._deps_in: dict[Address | str, set[Address]] = {}  # address or name key -> readers
-        self._member_of: dict[Address, Address] = {}  # non-anchor region cell -> its anchor
+        # The column index, keyed by (sheet, column). A span is the (top,
+        # bottom, anchor) rows of a placed region in one column, less the
+        # anchor cell; spans are disjoint and sorted. ``_rows`` changes only
+        # when an address first holds a cell or is read, or finally does neither.
+        self._spans: dict[tuple[str, int], list[tuple[int, int, Address]]] = {}
+        self._rows: dict[tuple[str, int], list[int]] = {}
         # #SPILL! anchors and #CIRC! cells: their values came from the layout
         # of the recalculation that set them, so the next one retries them.
         self._retry: set[Address] = set()
@@ -259,7 +278,8 @@ class Workbook:
             self.clear_cell(addr)
             return
         formula = _content_expr(content)
-        self._release(addr)
+        if not self._release(addr) and addr not in self._deps_in:
+            _add_rows(self._rows, (addr,))
         self.cells[addr] = cell = Cell(formula)
         self._wire(addr, cell)
         self._dirty.add(addr)
@@ -270,6 +290,8 @@ class Workbook:
         # Dirtying the address is enough: the pass walks its readers.
         if self._release(addr):
             del self.cells[addr]
+            if addr not in self._deps_in:
+                _drop_rows(self._rows, (addr,))
             self._dirty.add(addr)
             self._touch_layout(addr)
 
@@ -308,7 +330,7 @@ class Workbook:
 
     def _touch_layout(self, addr: Address) -> None:
         """Content at a member of a live region collides with that region."""
-        anchor = self._member_of.get(addr)
+        anchor = self._holder(addr)
         if anchor is not None:
             self._dirty.add(anchor)
 
@@ -316,15 +338,30 @@ class Workbook:
 
     def _wire(self, addr: Address, cell: Cell) -> None:
         cell.reads = _extract_refs(cell.formula, addr[0], self)
+        deps_in = self._deps_in
+        new = []  # addresses read for the first time
         for ref in cell.reads:
-            self._deps_in.setdefault(ref, set()).add(addr)
+            readers = deps_in.get(ref)
+            if readers is None:
+                deps_in[ref] = {addr}
+                if ref not in self.cells:
+                    new.append(ref)
+            else:
+                readers.add(addr)
+        if new:
+            _add_rows(self._rows, new)
 
     def _unwire(self, addr: Address, cell: Cell) -> None:
+        gone = []  # addresses no longer read
         for ref in cell.reads:
             readers = self._deps_in[ref]
             readers.discard(addr)
             if not readers:
                 del self._deps_in[ref]
+                if ref not in self.cells:
+                    gone.append(ref)
+        if gone:
+            _drop_rows(self._rows, gone)
 
     # -- values seen by the evaluator
 
@@ -339,11 +376,9 @@ class Workbook:
             if isinstance(v, Array):
                 return v.at(0, 0)
             return EMPTY if v is None else v
-        anchor = self._member_of.get(addr)
+        anchor = self._holder(addr)
         if anchor is not None:
-            arr = self.cells[anchor].value
-            if isinstance(arr, Array):
-                return arr.at(addr[1] - anchor[1], addr[2] - anchor[2])
+            return self.cells[anchor].value.at(row - anchor[1], col - anchor[2])
         return EMPTY
 
     def range_array(self, sheet: str, r1: int, c1: int, r2: int, c2: int) -> Array:
@@ -360,6 +395,17 @@ class Workbook:
     def spill_region(self, addr: Address | str) -> tuple[int, int] | None:
         arr = self._placed(self._read_address(addr))
         return None if arr is None else arr.shape
+
+    def _holder(self, addr: Address) -> Address | None:
+        """The anchor of the placed region that holds ``addr`` other than as
+        its anchor cell, or None."""
+        sheet, row, col = addr
+        spans = self._spans.get((sheet, col))
+        if spans:
+            i = bisect_right(spans, (row, math.inf))
+            if i and spans[i - 1][1] >= row:
+                return spans[i - 1][2]
+        return None
 
     def _placed(self, addr: Address) -> Array | None:
         """The Array held by the anchor of a placed region at ``addr``."""
@@ -507,20 +553,16 @@ class Workbook:
             # Cells the old region held are free: blocked anchors try again.
             next_dirty.update(self._retry - {addr})
 
-    def _members(self, anchor: Address, shape: tuple[int, int] | None):
-        """The cells of the region of ``shape`` at ``anchor`` other than the
-        anchor; none when ``shape`` is None."""
-        sheet, row, col = anchor
-        nr, nc = shape or (0, 0)
-        for r in range(row, row + nr):
-            for c in range(col, col + nc):
-                if r != row or c != col:
-                    yield (sheet, r, c)
-
     def _member_readers(self, anchor: Address, shape: tuple[int, int] | None) -> set[Address]:
         """The cells that read a member of the region of ``shape`` at ``anchor``."""
         deps_in = self._deps_in
-        return {r for m in self._members(anchor, shape) if m in deps_in for r in deps_in[m]}
+        out: set[Address] = set()
+        for (sheet, col), top, bottom in _region_columns(anchor, shape):
+            for row in _rows_between(self._rows.get((sheet, col)), top, bottom):
+                readers = deps_in.get((sheet, row, col))
+                if readers:
+                    out |= readers
+        return out
 
     def _vacate(self, anchor: Address) -> tuple[int, int] | None:
         """Drop the region placed at ``anchor``, the Array the cell holds, and
@@ -532,8 +574,11 @@ class Workbook:
         if not isinstance(arr, Array):
             return None
         cell.value = None
-        for member in self._members(anchor, arr.shape):
-            del self._member_of[member]
+        for key, top, _ in _region_columns(anchor, arr.shape):
+            spans = self._spans[key]
+            del spans[bisect_left(spans, (top,))]
+            if not spans:
+                del self._spans[key]
         return arr.shape
 
     def _place_spill(
@@ -542,34 +587,108 @@ class Workbook:
         """Lay out ``arr``'s region at the vacated ``anchor`` and return the
         value the cell stores: ``arr`` placed, or #SPILL! when the grid edge,
         content or an earlier anchor's region (in address order) is in the
-        way. A later anchor's region gives way and that anchor goes around
-        again, so the layout depends on content, not on the order of edits.
-        Evicted twice by the same anchor in one recalculation, it goes around
-        as #CIRC!: the two regions take turns and would never settle."""
-        _, row, col = anchor
+        way; the detail names the first cell blocked in row-major order. A
+        later anchor's region gives way and that anchor goes around again,
+        so the layout depends on content, not on the order of edits. Evicted
+        twice by the same anchor in one recalculation, it goes around as
+        #CIRC!: the two regions take turns and would never settle."""
+        sheet, row, col = anchor
         nr, nc = arr.shape
-        blocker = None
         if row + nr - 1 > E.GRID_MAX_ROWS or col + nc - 1 > E.GRID_MAX_COLS:
-            blocker = "the grid edge"
-        else:
-            for member in self._members(anchor, arr.shape):
-                holder = self._member_of.get(member)
-                if member in self.cells or (holder is not None and holder < anchor):
-                    blocker = _format_address(member, self.sheet_names)
-                    break
-        if blocker is not None:
             self._retry.add(anchor)
+            return ErrorValue(SPILL_ERROR.kind, "blocked by the grid edge")
+        columns = _region_columns(anchor, arr.shape)
+        blocked = []  # (row, col) of the first blocked cell of each column
+        later: set[Address] = set()
+        for key, top, bottom in columns:
+            c = key[1]
+            for r in _rows_between(self._rows.get(key), top, bottom):
+                if (sheet, r, c) in self.cells:
+                    blocked.append((r, c))
+                    break
+            for span_top, _, holder in _spans_between(self._spans.get(key), top, bottom):
+                if holder < anchor:
+                    blocked.append((max(span_top, top), c))
+                    break
+                later.add(holder)
+        if blocked:
+            self._retry.add(anchor)
+            blocker = _format_address((sheet, *min(blocked)), self.sheet_names)
             return ErrorValue(SPILL_ERROR.kind, f"blocked by {blocker}")
-        for member in self._members(anchor, arr.shape):
-            later = self._member_of.get(member)
-            if later is not None:
-                next_dirty |= self._member_readers(later, self._vacate(later))
-                next_dirty.update(self._retry, (later,))
-                if (later, anchor) in calc.evicted:
-                    calc.circled.add(later)
-                calc.evicted.add((later, anchor))
-            self._member_of[member] = anchor
+        for holder in sorted(later):
+            next_dirty |= self._member_readers(holder, self._vacate(holder))
+            next_dirty.update(self._retry, (holder,))
+            if (holder, anchor) in calc.evicted:
+                calc.circled.add(holder)
+            calc.evicted.add((holder, anchor))
+        for key, top, bottom in columns:
+            insort(self._spans.setdefault(key, []), (top, bottom, anchor))
         return Array(arr.rows, origin=anchor)
+
+
+def _region_columns(anchor: Address, shape: tuple[int, int] | None):
+    """The ((sheet, col), top, bottom) rows of each column of the region of
+    ``shape`` at ``anchor``, less the anchor cell; none when ``shape`` is None."""
+    sheet, row, col = anchor
+    nr, nc = shape or (0, 0)
+    bottom = row + nr - 1
+    columns = [((sheet, c), row, bottom) for c in range(col + 1, col + nc)]
+    if nr > 1:
+        columns.insert(0, ((sheet, col), row + 1, bottom))
+    return columns
+
+
+def _rows_between(rows: list[int] | None, top: int, bottom: int) -> list[int]:
+    """The entries of the sorted ``rows`` from ``top`` to ``bottom``."""
+    if not rows:
+        return []
+    return rows[bisect_left(rows, top) : bisect_right(rows, bottom)]
+
+
+def _spans_between(spans, top: int, bottom: int):
+    """The spans of the sorted, disjoint ``spans`` that overlap the rows
+    from ``top`` to ``bottom``."""
+    if not spans:
+        return []
+    i = bisect_right(spans, (top, math.inf))
+    if i and spans[i - 1][1] >= top:
+        i -= 1
+    return spans[i : bisect_right(spans, (bottom, math.inf))]
+
+
+def _by_column(addrs) -> dict[tuple[str, int], list[int]]:
+    """The rows of the cell addresses in ``addrs`` (name keys are skipped)
+    by (sheet, column)."""
+    out: dict[tuple[str, int], list[int]] = {}
+    for addr in addrs:
+        if type(addr) is tuple:
+            sheet, row, col = addr
+            out.setdefault((sheet, col), []).append(row)
+    return out
+
+
+def _add_rows(index: dict, addrs) -> None:
+    """Add the rows of ``addrs``, none of them indexed yet, to ``index``."""
+    for key, rows in _by_column(addrs).items():
+        have = index.setdefault(key, [])
+        if len(rows) == 1:
+            insort(have, rows[0])
+        else:  # one sort merges a bulk insert, where insort would be quadratic
+            have += rows
+            have.sort()
+
+
+def _drop_rows(index: dict, addrs) -> None:
+    """Drop the rows of ``addrs``, all of them indexed, from ``index``."""
+    for key, rows in _by_column(addrs).items():
+        have = index[key]
+        if len(rows) == 1:
+            del have[bisect_left(have, rows[0])]
+        else:
+            gone = set(rows)
+            have[:] = [r for r in have if r not in gone]
+        if not have:
+            del index[key]
 
 
 def _format_address(addr: Address, sheet_names: dict[str, str]) -> str:

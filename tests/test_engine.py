@@ -9,7 +9,7 @@ import pytest
 from gridlambda import NameCollision, Workbook, WorkbookFormatError, engine, load_workbook_text
 from gridlambda.expr import Literal, col_to_letters, print_expr
 from gridlambda.parser import ParseError
-from gridlambda.values import Closure, DateSerial, EMPTY, ErrorKind, ErrorValue, render_cell
+from gridlambda.values import Array, Closure, DateSerial, EMPTY, ErrorKind, ErrorValue, render_cell
 
 
 def kind(v):
@@ -17,20 +17,53 @@ def kind(v):
     return v.kind
 
 
+def region_cells(wb, anchor):
+    """The cells of the region placed at ``anchor``, the anchor included;
+    none when it has no region."""
+    sheet, row, col = anchor
+    nr, nc = wb.spill_region(anchor) or (0, 0)
+    return {(sheet, r, c) for r in range(row, row + nr) for c in range(col, col + nc)}
+
+
 def grid_snapshot(wb):
     """Every visible cell value (content cells and spill members). A lambda
     shows as "a lambda", since closures compare by identity."""
     out = {}
-    for addr in [*wb.cells, *wb._member_of]:
+    for addr in {*wb.cells, *(m for anchor in wb.cells for m in region_cells(wb, anchor))}:
         value = wb.cell_value(*addr)
         out[addr] = "a lambda" if isinstance(value, Closure) else value
     return out
 
 
+def assert_layout_matches_content(wb):
+    """Check the layout against one rebuilt from ``cells`` and
+    ``spill_region`` alone: placed regions are disjoint, no content cell lies
+    in another anchor's region, and over A1:H12 of each sheet ``cell_value``
+    shows the content value (the top-left element for an anchor), else the
+    element of the region that covers the cell, else a blank."""
+    covering = {}
+    for anchor in wb.cells:
+        for member in region_cells(wb, anchor):
+            assert member not in covering, f"{member} is in two regions"
+            assert member == anchor or member not in wb.cells, f"{member} is content in a region"
+            covering[member] = anchor
+    for sheet in wb.sheet_names:
+        for r in range(1, 13):
+            for c in range(1, 9):
+                anchor = covering.get((sheet, r, c), (sheet, r, c))
+                value = wb.cells[anchor].value if anchor in wb.cells else None
+                if isinstance(value, Array):
+                    value = value.at(r - anchor[1], c - anchor[2])
+                assert wb.cell_value(sheet, r, c) is (EMPTY if value is None else value)
+
+
 def assert_matches_fresh_load(wb):
     """Recalculate ``wb`` and check it shows what a fresh load of its content
-    shows: every name and cell written back as the text of its formula."""
+    shows: every name and cell written back as the text of its formula.
+    Both share the column index, so ``wb`` is also checked against a layout
+    rebuilt from its content."""
     wb.recalculate()
+    assert_layout_matches_content(wb)
     lines = [f"name {n.name} := {print_expr(n.expr)}" for n in wb.names.values()]
     sheet = None
     for (key, row, col), cell in sorted(wb.cells.items()):
@@ -243,11 +276,10 @@ def test_no_partial_spills_and_exclusive_membership():
     wb.set_cell("A1", "=SEQUENCE(4)")
     wb.set_cell("B1", "=SEQUENCE(1, 3)")  # spills B1:D1
     wb.recalculate()
-    # The two regions are disjoint and every member maps to exactly one anchor.
+    # The two regions are disjoint.
     assert wb.spill_region("A1") == (4, 1)
     assert wb.spill_region("B1") == (1, 3)
-    members = list(wb._member_of.items())
-    assert len(dict(members)) == len(members)
+    assert not region_cells(wb, ("sheet1", 1, 1)) & region_cells(wb, ("sheet1", 1, 2))
     # New content inside B1's region bounces B1 to #SPILL!; the new anchor
     # itself places cleanly. No cell ever belongs to two regions.
     wb.set_cell("C1", "=SEQUENCE(2)")
@@ -255,11 +287,7 @@ def test_no_partial_spills_and_exclusive_membership():
     assert kind(wb.cell_value("Sheet1", 1, 2)) == ErrorKind.SPILL
     assert wb.spill_region("B1") is None
     assert wb.spill_region("C1") == (2, 1)
-    regions = [
-        {anchor, *wb._members(anchor, wb.spill_region(anchor))}
-        for anchor in wb.cells
-        if wb.spill_region(anchor) is not None
-    ]
+    regions = [region_cells(wb, anchor) for anchor in wb.cells if wb.spill_region(anchor)]
     assert len(regions) == 2
     for i, a in enumerate(regions):
         for b in regions[i + 1:]:
@@ -312,6 +340,66 @@ def test_spill_dependent_sees_resize():
     wb.set_cell("A1", "=SEQUENCE(4)")
     wb.recalculate()
     assert wb.cell_value("Sheet1", 1, 3) == 10.0
+
+
+def test_two_regions_stacked_in_one_column():
+    wb = load_workbook_text(
+        "name n := 3\nA1 := =SEQUENCE(n)\nA5 := =SEQUENCE(3,1,10)\nC1 := =SUM(A1:A8)"
+    )
+    wb.recalculate()
+    assert wb.cell_value("Sheet1", 4, 1) is EMPTY and wb.cell_value("Sheet1", 8, 1) is EMPTY
+    assert wb.cell_value("Sheet1", 7, 1) == 12.0
+    assert wb.cell_value("Sheet1", 1, 3) == 39.0
+    wb.define_name("n", 4)  # the regions now meet: A1:A4 and A5:A7
+    wb.recalculate()
+    assert wb.cell_value("Sheet1", 1, 3) == 43.0
+    assert_matches_fresh_load(wb)
+    wb.define_name("n", 5)
+    wb.recalculate()
+    assert kind(wb.cell_value("Sheet1", 1, 1)) == ErrorKind.SPILL
+    assert kind(wb.cell_value("Sheet1", 1, 3)) == ErrorKind.SPILL
+    assert_matches_fresh_load(wb)
+    wb.clear_cell("A5")
+    wb.recalculate()
+    assert [wb.cell_value("Sheet1", r, 1) for r in range(1, 8)] == [1, 2, 3, 4, 5, EMPTY, EMPTY]
+    assert wb.cell_value("Sheet1", 1, 3) == 15.0
+    assert_matches_fresh_load(wb)
+
+
+@pytest.mark.parametrize(
+    "contents, anchor, blocker",
+    [
+        ([("A1", "=SEQUENCE(3,3)"), ("C2", "1"), ("B3", "1")], "A1", "Sheet1!C2"),
+        ([("A1", "=SEQUENCE(3,3)"), ("B3", "1"), ("C2", "1")], "A1", "Sheet1!C2"),
+        # An earlier region's cell comes before content in row-major order.
+        ([("D1", "=SEQUENCE(3)"), ("A2", "=SEQUENCE(2,4)"), ("B3", "5")], "A2", "Sheet1!D2"),
+        ([("D1", "=SEQUENCE(3)"), ("A2", "=SEQUENCE(2,4)"), ("C2", "5")], "A2", "Sheet1!C2"),
+    ],
+)
+def test_spill_error_names_the_first_blocked_cell_in_row_major_order(contents, anchor, blocker):
+    wb = Workbook()
+    for addr, content in contents:
+        wb.set_cell(addr, float(content) if content[0] != "=" else content)
+        wb.recalculate()
+    fresh = load_workbook_text("\n".join(f"{addr} := {content}" for addr, content in contents))
+    fresh.recalculate()
+    for book in (wb, fresh):
+        value = book.cell_value(*book.address(anchor))
+        assert kind(value) == ErrorKind.SPILL and value.detail == f"blocked by {blocker}"
+    assert_matches_fresh_load(wb)
+
+
+def test_a_new_anchor_inside_an_older_region_takes_its_cells():
+    wb = Workbook()
+    wb.set_cell("A1", "=SEQUENCE(3)")
+    wb.recalculate()
+    wb.set_cell("A2", "=SEQUENCE(1,2)")
+    report = wb.recalculate()
+    assert report.passes == 1
+    assert kind(wb.cell_value("Sheet1", 1, 1)) == ErrorKind.SPILL
+    assert [wb.cell_value("Sheet1", 2, c) for c in (1, 2)] == [1, 2]
+    assert wb.cell_value("Sheet1", 3, 1) is EMPTY
+    assert_matches_fresh_load(wb)
 
 
 # -- spill references -----------------------------------------------------------
