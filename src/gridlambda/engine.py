@@ -8,19 +8,23 @@ Each graph and layout fact is stored once:
 - a placed spill region is the ``Array`` its anchor cell holds: a cell holds
   an ``Array`` exactly while its region is placed.
 
-A per-sheet column index finds the layout by bisection, so placing, vacating
-and finding the readers of a region cost O(columns x log n + hits), not
-O(area):
-- ``_spans`` keeps, per (sheet, column), the row intervals of the placed
-  regions less their anchor cells. Content, or a new anchor, may sit in an
-  older region until that region's anchor evaluates again; leaving anchor
-  cells out keeps the intervals disjoint all the same, so one bisection
-  answers which region holds a cell (``_holder``, for ``cell_value`` and
-  ``_touch_layout``) and a range of them which regions overlap a rectangle
-  (``_place_spill``: an earlier region blocks, a later one is evicted);
-- ``_rows`` keeps, per (sheet, column), the sorted rows whose address holds a
-  cell or is read (a key of ``_deps_in``), so a rectangle's content
-  blockers and member readers are found without visiting its empty cells.
+A column index, kept in step with these facts, answers the layout's
+queries by bisection, so placing and vacating a region and finding the
+readers of its members cost O(columns x log n + hits), not O(area). Per
+(sheet, column) it keeps two sorted lists:
+- ``_spans``: the (top, bottom, anchor) row interval of each placed region
+  in that column, less the region's anchor cell. Content or a new anchor
+  may sit in an older region until that region's anchor evaluates again
+  (``A1 := =SEQUENCE(3)``, recalculate, ``A2 := =SEQUENCE(1,2)``); with the
+  anchor cells left out the intervals stay disjoint all the same, so a
+  bisection answers which region holds a cell (``_holder``, for
+  ``cell_value`` and ``_touch_layout``) and which regions overlap a
+  rectangle (``_place_spill``: an earlier region blocks, a later one is
+  evicted);
+- ``_rows``: the rows whose address holds a cell or is read (a key of
+  ``_deps_in``), so a rectangle's content blockers (``_place_spill``) and
+  member readers (``_member_readers``) are found without visiting its
+  empty cells.
 
 Recalculation is batch and deterministic and runs in passes. Each pass is
 one walk (Tarjan's, in descending address order) from its dirty cells along
@@ -222,10 +226,10 @@ class Workbook:
         # Edges out of a cell are its ``Cell.reads``; a placed region is the
         # Array its anchor holds. The rest of the graph and layout state:
         self._deps_in: dict[Address | str, set[Address]] = {}  # address or name key -> readers
-        # The column index, keyed by (sheet, column). A span is the (top,
-        # bottom, anchor) rows of a placed region in one column, less the
-        # anchor cell; spans are disjoint and sorted. ``_rows`` changes only
-        # when an address first holds a cell or is read, or finally does neither.
+        # The column index (see the module docstring), keyed by (sheet,
+        # column). Spans are disjoint and sorted by top row. ``_rows`` changes
+        # only when an address first holds a cell or is read, or finally does
+        # neither, never once per reference.
         self._spans: dict[tuple[str, int], list[tuple[int, int, Address]]] = {}
         self._rows: dict[tuple[str, int], list[int]] = {}
         # #SPILL! anchors and #CIRC! cells: their values came from the layout
@@ -279,7 +283,8 @@ class Workbook:
             return
         formula = _content_expr(content)
         if not self._release(addr) and addr not in self._deps_in:
-            _add_rows(self._rows, (addr,))
+            sheet, row, col = addr
+            insort(self._rows.setdefault((sheet, col), []), row)
         self.cells[addr] = cell = Cell(formula)
         self._wire(addr, cell)
         self._dirty.add(addr)
@@ -632,9 +637,8 @@ def _region_columns(anchor: Address, shape: tuple[int, int] | None):
     sheet, row, col = anchor
     nr, nc = shape or (0, 0)
     bottom = row + nr - 1
-    columns = [((sheet, c), row, bottom) for c in range(col + 1, col + nc)]
-    if nr > 1:
-        columns.insert(0, ((sheet, col), row + 1, bottom))
+    columns = [((sheet, col), row + 1, bottom)] if nr > 1 else []
+    columns += [((sheet, c), row, bottom) for c in range(col + 1, col + nc)]
     return columns
 
 

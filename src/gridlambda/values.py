@@ -415,9 +415,18 @@ def lift_elementwise(op: Callable, args) -> object:
 
 
 def _broadcast_rows(v, nr: int, nc: int):
-    """Operand ``v`` stretched to ``nr`` rows of ``nc`` cells (see `cell_in`)."""
-    if not isinstance(v, Array):
-        return [(v,) * nc] * nr
-    if v.n_rows == nr and v.n_cols == nc:
-        return v.rows
-    return [tuple(cell_in(v, (nr, nc), r, c) for c in range(nc)) for r in range(nr)]
+    """Operand ``v`` stretched to ``nr`` rows of ``nc`` cells (see `cell_in`).
+    Only a dimension that is neither 1 nor the target's reaches ``cell_in``
+    per cell, for its #N/A."""
+    if isinstance(v, Array):
+        if v.n_rows == nr and v.n_cols == nc:
+            return v.rows
+        if v.n_rows == 1 and v.n_cols == 1:
+            v = v.rows[0][0]
+        elif v.n_cols == 1 and v.n_rows == nr:
+            return [(row[0],) * nc for row in v.rows]
+        elif v.n_rows == 1 and v.n_cols == nc:
+            return [v.rows[0]] * nr
+        else:
+            return [tuple(cell_in(v, (nr, nc), r, c) for c in range(nc)) for r in range(nr)]
+    return [(v,) * nc] * nr
