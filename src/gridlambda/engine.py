@@ -313,11 +313,13 @@ class Workbook:
         key = name.casefold()
         self.names[key] = DefinedName(name, _content_expr(content))
         # Redefinition rewires and dirties every cell whose formula reaches
-        # this name: the new content may reach other cells and names.
+        # this name: the new content may reach other cells and names. Wiring
+        # first keeps a read that stays from leaving ``_deps_in`` and ``_rows``.
         for addr in sorted(self._deps_in.get(key, ())):
             cell = self.cells[addr]
-            self._unwire(addr, cell)
+            old = cell.reads
             self._wire(addr, cell)
+            self._unwire(addr, old - cell.reads)
             self._dirty.add(addr)
 
     def _release(self, addr: Address) -> bool:
@@ -329,7 +331,7 @@ class Workbook:
         cell = self.cells.get(addr)
         if cell is None:
             return False
-        self._unwire(addr, cell)
+        self._unwire(addr, cell.reads)
         self._dirty |= self._member_readers(addr, self._vacate(addr))
         return True
 
@@ -344,26 +346,27 @@ class Workbook:
     def _wire(self, addr: Address, cell: Cell) -> None:
         cell.reads = _extract_refs(cell.formula, addr[0], self)
         deps_in = self._deps_in
-        new = []  # addresses read for the first time
+        new = []  # empty addresses read for the first time
         for ref in cell.reads:
             readers = deps_in.get(ref)
             if readers is None:
                 deps_in[ref] = {addr}
-                if ref not in self.cells:
+                if type(ref) is tuple and ref not in self.cells:
                     new.append(ref)
             else:
                 readers.add(addr)
         if new:
             _add_rows(self._rows, new)
 
-    def _unwire(self, addr: Address, cell: Cell) -> None:
-        gone = []  # addresses no longer read
-        for ref in cell.reads:
+    def _unwire(self, addr: Address, reads) -> None:
+        """Drop ``addr`` from the readers of ``reads``."""
+        gone = []  # empty addresses no longer read
+        for ref in reads:
             readers = self._deps_in[ref]
             readers.discard(addr)
             if not readers:
                 del self._deps_in[ref]
-                if ref not in self.cells:
+                if type(ref) is tuple and ref not in self.cells:
                     gone.append(ref)
         if gone:
             _drop_rows(self._rows, gone)
@@ -634,8 +637,10 @@ class Workbook:
 def _region_columns(anchor: Address, shape: tuple[int, int] | None):
     """The ((sheet, col), top, bottom) rows of each column of the region of
     ``shape`` at ``anchor``, less the anchor cell; none when ``shape`` is None."""
+    if shape is None:
+        return []
     sheet, row, col = anchor
-    nr, nc = shape or (0, 0)
+    nr, nc = shape
     bottom = row + nr - 1
     columns = [((sheet, col), row + 1, bottom)] if nr > 1 else []
     columns += [((sheet, c), row, bottom) for c in range(col + 1, col + nc)]
@@ -661,13 +666,10 @@ def _spans_between(spans, top: int, bottom: int):
 
 
 def _by_column(addrs) -> dict[tuple[str, int], list[int]]:
-    """The rows of the cell addresses in ``addrs`` (name keys are skipped)
-    by (sheet, column)."""
+    """The rows of ``addrs`` by (sheet, column)."""
     out: dict[tuple[str, int], list[int]] = {}
-    for addr in addrs:
-        if type(addr) is tuple:
-            sheet, row, col = addr
-            out.setdefault((sheet, col), []).append(row)
+    for sheet, row, col in addrs:
+        out.setdefault((sheet, col), []).append(row)
     return out
 
 
