@@ -78,6 +78,7 @@ from .values import (
     Array,
     DateSerial,
     ErrorValue,
+    Ref,
     error_from_text,
     number_from_text,
 )
@@ -389,13 +390,18 @@ class Workbook:
             return self.cells[anchor].value.at(row - anchor[1], col - anchor[2])
         return EMPTY
 
-    def range_array(self, sheet: str, r1: int, c1: int, r2: int, c2: int) -> Array:
-        key = self._sheet_key(sheet)
-        rows = tuple(
-            tuple(self.cell_value(key, r, c) for c in range(c1, c2 + 1))
-            for r in range(r1, r2 + 1)
-        )
-        return Array(rows, origin=(key, r1, c1))
+    def read(self, ref: Ref):
+        """The value of the cells ``ref`` names: the placed Array when they
+        are exactly a placed region, the cell's value when they are one
+        cell, and otherwise an Array read cell by cell."""
+        sheet, r1, c1, r2, c2 = ref
+        arr = self._placed((sheet, r1, c1))
+        if arr is not None and arr.shape == (r2 - r1 + 1, c2 - c1 + 1):
+            return arr
+        if r1 == r2 and c1 == c2:
+            return self.cell_value(sheet, r1, c1)
+        cols = range(c1, c2 + 1)
+        return Array([[self.cell_value(sheet, r, c) for c in cols] for r in range(r1, r2 + 1)])
 
     def spill_array(self, sheet: str, row: int, col: int) -> Array | None:
         return self._placed((self._sheet_key(sheet), row, col))
@@ -445,6 +451,8 @@ class Workbook:
         argument that reaches the result is blank."""
         try:
             value = evaluate(expr, Environment(), self._context(caller))
+            if type(value) is Ref:
+                value = self.read(value)
         except RecursionError:
             return ErrorValue(NUM_ERROR.kind, "evaluation too deeply nested")
         except Exception as exc:
@@ -631,7 +639,7 @@ class Workbook:
             calc.evicted.add((holder, anchor))
         for key, top, bottom in columns:
             insort(self._spans.setdefault(key, []), (top, bottom, anchor))
-        return Array(arr.rows, origin=anchor)
+        return arr
 
 
 def _region_columns(anchor: Address, shape: tuple[int, int] | None):

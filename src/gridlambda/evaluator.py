@@ -23,6 +23,7 @@ from .values import (
     Array,
     Closure,
     ErrorValue,
+    Ref,
     coerce_to_number,
     coerce_to_text,
     compare_scalars,
@@ -108,11 +109,8 @@ class EvalContext:
     depth: int = 0
     trace: TraceSink = field(default_factory=TraceSink)
 
-    def current_sheet(self) -> str | None:
-        if self.caller is not None:
-            return self.caller[0]
-        wb = self.workbook
-        return wb.default_sheet if wb is not None else None
+    def current_sheet(self) -> str:
+        return self.caller[0] if self.caller is not None else self.workbook.default_sheet
 
 
 # Builtin registry, populated by the functions module on import.
@@ -130,12 +128,15 @@ class Builtin:
     # One entry per positional parameter after ``ctx``: its coercer, or None
     # for a value passed unchanged. Empty when no parameter has a coercer.
     coercers: tuple = ()
+    # The positions whose coercer keeps a `Ref`; other references are read.
+    keeps_ref: frozenset = frozenset()
 
 
 def register(name: str, min_args: int, max_args: int, raw: bool = False):
     def deco(fn):
         coercers = () if raw else _coercers(fn)
-        BUILTINS[name.casefold()] = Builtin(name, min_args, max_args, fn, raw, coercers)
+        keeps = frozenset(i for i, c in enumerate(coercers) if getattr(c, "keeps_ref", False))
+        BUILTINS[name.casefold()] = Builtin(name, min_args, max_args, fn, raw, coercers, keeps)
         return fn
 
     return deco
@@ -143,7 +144,8 @@ def register(name: str, min_args: int, max_args: int, raw: bool = False):
 
 def _coercers(fn) -> tuple:
     """The coercers a builtin declares as its parameters' annotations. A
-    parameter with a default takes it for a blank or omitted argument."""
+    parameter with a default takes it for a blank or omitted argument. A
+    coercer with a true ``keeps_ref`` attribute receives a `Ref` unread."""
     params = list(inspect.signature(fn, eval_str=True).parameters.values())[1:]
     out = tuple(_coercer(p) for p in params if p.kind is p.POSITIONAL_OR_KEYWORD)
     return out if any(out) else ()
@@ -253,6 +255,11 @@ def _num_percent(a):
 # Evaluation
 
 
+def read(value, ctx: EvalContext):
+    """``value``, or the value of the cells it names when it is a `Ref`."""
+    return ctx.workbook.read(value) if type(value) is Ref else value
+
+
 def evaluate(expr, env: Environment, ctx: EvalContext):
     handler = _DISPATCH.get(type(expr))
     if handler is None:
@@ -269,25 +276,22 @@ def _eval_binary(expr: E.BinaryOp, env: Environment, ctx: EvalContext):
     rhs = evaluate(expr.right, env, ctx)
     if type(lhs) is float and type(rhs) is float:
         return _BINARY_KERNELS[expr.op](lhs, rhs)
+    if type(lhs) is Ref or type(rhs) is Ref:
+        lhs, rhs = read(lhs, ctx), read(rhs, ctx)
     if isinstance(lhs, Closure) or isinstance(rhs, Closure):
         return VALUE_ERROR
     return lift_elementwise(_BINARY_KERNELS[expr.op], (lhs, rhs))
 
 
-def _eval_unary(expr: E.UnaryOp, env: Environment, ctx: EvalContext):
-    val = evaluate(expr.operand, env, ctx)
-    if expr.op == "+":
+def _eval_unary(expr: E.UnaryOp | E.PercentPostfix, env: Environment, ctx: EvalContext):
+    """``+x`` is x itself; ``-x`` and ``x%`` apply their kernel per cell."""
+    val = read(evaluate(expr.operand, env, ctx), ctx)
+    percent = type(expr) is E.PercentPostfix
+    if not percent and expr.op == "+":
         return val
     if isinstance(val, Closure):
         return VALUE_ERROR
-    return lift_elementwise(_num_neg, (val,))
-
-
-def _eval_percent(expr: E.PercentPostfix, env: Environment, ctx: EvalContext):
-    val = evaluate(expr.operand, env, ctx)
-    if isinstance(val, Closure):
-        return VALUE_ERROR
-    return lift_elementwise(_num_percent, (val,))
+    return lift_elementwise(_num_percent if percent else _num_neg, (val,))
 
 
 def _eval_name(expr: E.NameRef, env: Environment, ctx: EvalContext):
@@ -337,11 +341,10 @@ def _eval_cell_ref(ref: E.CellRef, env: Environment, ctx: EvalContext):
 
 
 def _eval_range_ref(ref: E.RangeRef, env: Environment, ctx: EvalContext):
-    wb = ctx.workbook
-    if wb is None:
+    if ctx.workbook is None:
         return REF_ERROR
-    sheet = ref.sheet or ctx.current_sheet()
-    return wb.range_array(sheet, ref.start.row, ref.start.col, ref.end.row, ref.end.col)
+    sheet = (ref.sheet or ctx.current_sheet()).casefold()
+    return Ref(sheet, ref.start.row, ref.start.col, ref.end.row, ref.end.col)
 
 
 def _eval_spill_ref(expr: E.SpillRef, env: Environment, ctx: EvalContext):
@@ -351,10 +354,11 @@ def _eval_spill_ref(expr: E.SpillRef, env: Environment, ctx: EvalContext):
     anchor, _ = _resolve_spill_target(expr.target, wb.lookup_name)
     if isinstance(anchor, ErrorValue):
         return anchor
-    arr = wb.spill_array(anchor.sheet or ctx.current_sheet(), anchor.row, anchor.col)
+    sheet, row, col = (anchor.sheet or ctx.current_sheet()).casefold(), anchor.row, anchor.col
+    arr = wb.spill_array(sheet, row, col)
     if arr is None:
         return ErrorValue(REF_ERROR.kind, "referent is not a spill anchor")
-    return arr
+    return Ref(sheet, row, col, row + arr.n_rows - 1, col + arr.n_cols - 1)
 
 
 def _resolve_spill_target(target, lookup_name):
@@ -380,29 +384,22 @@ def _resolve_spill_target(target, lookup_name):
 
 
 def _eval_intersect(expr: E.ImplicitIntersect, env: Environment, ctx: EvalContext):
+    """``@``: the one cell of a reference in line with the caller; an array,
+    which has no place on the grid, gives its top-left element."""
     value = evaluate(expr.inner, env, ctx)
-    if isinstance(value, ErrorValue):
-        return value
-    if not isinstance(value, Array):
-        return value
-    nr, nc = value.shape
-    if nr == 1 and nc == 1:
-        return value.at(0, 0)
-    if value.origin is None:
-        # A computed array has no grid geometry; take the top-left element.
-        return value.at(0, 0)
-    _, r0, c0 = value.origin
-    caller = ctx.caller
-    if caller is None:
-        return VALUE_ERROR
-    _, cr, cc = caller
-    if nc == 1:
-        return value.at(cr - r0, 0) if r0 <= cr < r0 + nr else VALUE_ERROR
-    if nr == 1:
-        return value.at(0, cc - c0) if c0 <= cc < c0 + nc else VALUE_ERROR
-    if r0 <= cr < r0 + nr and c0 <= cc < c0 + nc:
-        return value.at(cr - r0, cc - c0)
-    return VALUE_ERROR
+    if type(value) is not Ref:
+        return value.rows[0][0] if isinstance(value, Array) else value
+    sheet, r1, c1, r2, c2 = value
+    if ctx.caller is None and (r1, c1) != (r2, c2):
+        return ErrorValue(VALUE_ERROR.kind, "no caller")
+    _, row, col = ctx.caller or value[:3]  # one cell needs no caller
+    r, c = r1 if r1 == r2 else row, c1 if c1 == c2 else col
+    if r1 <= r <= r2 and c1 <= c <= c2:
+        return ctx.workbook.cell_value(sheet, r, c)
+    names = ctx.workbook.sheet_names
+    span = f"{names.get(sheet, sheet)}!{E.col_to_letters(c1)}{r1}:{E.col_to_letters(c2)}{r2}"
+    where = f"column {E.col_to_letters(col)}" if r1 <= r <= r2 else f"row {row}"
+    return ErrorValue(VALUE_ERROR.kind, f"no cell of {span} in {where}")
 
 
 def _eval_call(expr: E.Call, env: Environment, ctx: EvalContext):
@@ -453,6 +450,10 @@ def _call_builtin(builtin: Builtin, args, env: Environment, ctx: EvalContext):
     if builtin.raw:
         return builtin.impl(ctx, env, args)
     values = [evaluate(a, env, ctx) for a in args]
+    for value in values:
+        if type(value) is Ref:
+            values = [v if i in builtin.keeps_ref else read(v, ctx) for i, v in enumerate(values)]
+            break
     # Coerce in parameter order; the first failure is the result. Values of
     # parameters without a coercer reach the body unfiltered, errors included.
     if builtin.coercers:
@@ -478,5 +479,5 @@ _DISPATCH = {
     E.Lambda: lambda expr, env, ctx: Closure(expr.params, expr.body, env),
     E.BinaryOp: _eval_binary,
     E.UnaryOp: _eval_unary,
-    E.PercentPostfix: _eval_percent,
+    E.PercentPostfix: _eval_unary,
 }

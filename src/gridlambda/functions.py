@@ -4,12 +4,13 @@ Each builtin is total over values: failures come back as error values in or
 around the result, never as exceptions.
 
 A builtin declares how each parameter coerces as that parameter's annotation,
-one of the coercers below (``Arr``, ``Vector``, ``NumVector``, ``Num``,
-``Int``, ``Scalar``, ``Value`` or ``Fn(arity)``); ``register`` reads them once.
-The call path coerces the arguments in parameter order before the body runs,
-and the first one that fails is the call's result. A parameter with a default
-takes it for a blank or omitted argument. An unannotated parameter receives
-its value unchanged, errors included, and the body decides.
+one of the coercers below (``Area``, ``Arr``, ``Vector``, ``NumVector``,
+``Num``, ``Int``, ``Scalar``, ``Value`` or ``Fn(arity)``); ``register`` reads
+them once. The call path reads a `Ref` argument as its cells, unless the
+parameter is an ``Area``, and coerces the arguments in parameter order before
+the body runs; the first one that fails is the call's result. A parameter
+with a default takes it for a blank or omitted argument. An unannotated
+parameter gets its value unchanged, errors included, and the body decides.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 
 from . import expr as E
 from . import numerics
-from .evaluator import _finite_or_num_error, _numeric_kernel, apply_closure, evaluate, register
+from .evaluator import _finite_or_num_error, _numeric_kernel, apply_closure, evaluate, read, register
 from .values import (
     CALC_ERROR,
     DIV0,
@@ -33,6 +34,7 @@ from .values import (
     Closure,
     DateSerial,
     ErrorValue,
+    Ref,
     cell_in,
     coerce_to_bool,
     coerce_to_number,
@@ -55,10 +57,18 @@ def Arr(v):
     return Array.from_scalar(v)
 
 
+def Area(v):
+    """A reference, kept as it is; any other value as ``Arr`` has it."""
+    return v if type(v) is Ref else Arr(v)
+
+
+Area.keeps_ref = True
+
+
 def Vector(v):
     """An array of one row or one column."""
     arr = Arr(v)
-    if isinstance(arr, Array) and not arr.is_vector():
+    if isinstance(arr, Array) and arr.n_rows > 1 and arr.n_cols > 1:
         return VALUE_ERROR
     return arr
 
@@ -135,29 +145,23 @@ def _map(ctx, *args):
     fn = Fn(len(arrays))(args[-1])
     if isinstance(fn, ErrorValue):
         return fn
-    result = lift_elementwise(lambda *cells: element(apply_closure(fn, cells, ctx)), arrays)
+    wb = ctx.workbook
+    result = lift_elementwise(lambda *cells: element(apply_closure(fn, cells, ctx), wb), arrays)
     return result.at(0, 0) if result.shape == (1, 1) else result
 
 
 @register("BYROW", 2, 2)
 def _byrow(ctx, array: Arr, fn: Fn(1)):
-    return _by_axis(ctx, array, fn, axis="row")
+    return Array.col(_each(ctx, fn, [Array((row,)) for row in array.rows]))
 
 
 @register("BYCOL", 2, 2)
 def _bycol(ctx, array: Arr, fn: Fn(1)):
-    return _by_axis(ctx, array, fn, axis="col")
+    return Array.row(_each(ctx, fn, [Array.col(column) for column in zip(*array.rows)]))
 
 
-def _by_axis(ctx, arr, fn, axis):
-    if axis == "row":
-        slices = [Array((row,)) for row in arr.rows]
-    else:
-        slices = [Array(tuple((row[c],) for row in arr.rows)) for c in range(arr.n_cols)]
-    results = [element(apply_closure(fn, [s], ctx)) for s in slices]
-    if axis == "row":
-        return Array.col(results)
-    return Array.row(results)
+def _each(ctx, fn, slices) -> list:
+    return [element(apply_closure(fn, [s], ctx), ctx.workbook) for s in slices]
 
 
 @register("SCAN", 3, 3)
@@ -167,7 +171,7 @@ def _scan(ctx, init: Scalar, array: Arr, fn: Fn(2)):
     for row in array.rows:
         out_row = []
         for cell in row:
-            acc = element(apply_closure(fn, [acc, cell], ctx))
+            acc = element(apply_closure(fn, [acc, cell], ctx), ctx.workbook)
             out_row.append(acc)
         out.append(tuple(out_row))
     return Array(out)
@@ -192,7 +196,7 @@ def _makearray(ctx, rows: Int, cols: Int, fn: Fn(2)):
     out = []
     for r in range(1, rows + 1):
         row = [
-            element(apply_closure(fn, [float(r), float(c)], ctx))
+            element(apply_closure(fn, [float(r), float(c)], ctx), ctx.workbook)
             for c in range(1, cols + 1)
         ]
         out.append(tuple(row))
@@ -241,28 +245,26 @@ def _hstack(ctx, *args):
 
 
 @register("TAKE", 2, 3)
-def _take(ctx, array: Arr, rows: Int = None, cols: Int = None):
+def _take(ctx, array: Area, rows: Int = None, cols: Int = None):
     return _take_drop(array, rows, cols, mode="take")
 
 
 @register("DROP", 2, 3)
-def _drop(ctx, array: Arr, rows: Int = None, cols: Int = None):
+def _drop(ctx, array: Area, rows: Int = None, cols: Int = None):
     return _take_drop(array, rows, cols, mode="drop")
 
 
-def _take_drop(arr, rows, cols, mode):
-    row_idx = _axis_slice(arr.n_rows, rows, mode)
+def _take_drop(area, rows, cols, mode):
+    nr, nc = area.shape
+    row_idx = _axis_slice(nr, rows, mode)
     if isinstance(row_idx, ErrorValue):
         return row_idx
-    col_idx = _axis_slice(arr.n_cols, cols, mode)
+    col_idx = _axis_slice(nc, cols, mode)
     if isinstance(col_idx, ErrorValue):
         return col_idx
-    out = tuple(tuple(arr.rows[r][c] for c in col_idx) for r in row_idx)
-    origin = None
-    if arr.origin is not None:
-        sheet, r0, c0 = arr.origin
-        origin = (sheet, r0 + row_idx[0], c0 + col_idx[0])
-    return Array(out, origin=origin)
+    if type(area) is Ref:
+        return area.part(row_idx, col_idx)
+    return Array(tuple(tuple(area.rows[r][c] for c in col_idx) for r in row_idx))
 
 
 def _axis_slice(extent, n, mode):
@@ -530,22 +532,16 @@ def _year(ctx, d):
 
 
 @register("INDEX", 2, 3)
-def _index(ctx, arr: Arr, i: Int, j: Int = None):
-    if j is None:
-        if arr.is_vector():
-            if not (1 <= i <= arr.n_rows * arr.n_cols):
-                return REF_ERROR
-            return arr.rows[i - 1][0] if arr.n_cols == 1 else arr.rows[0][i - 1]
-        if not (1 <= i <= arr.n_rows):
-            return REF_ERROR
-        origin = None
-        if arr.origin is not None:
-            sheet, r0, c0 = arr.origin
-            origin = (sheet, r0 + i - 1, c0)
-        return Array((arr.rows[i - 1],), origin=origin)
-    if not (1 <= i <= arr.n_rows and 1 <= j <= arr.n_cols):
+def _index(ctx, area: Area, i: Int, j: Int = None):
+    """Row ``i``, element ``i`` of a vector, or cell (``i``, ``j``); of a reference, a reference."""
+    nr, nc = area.shape
+    if j is None and (nr == 1 or nc == 1):
+        i, j = (i, 1) if nc == 1 else (1, i)
+    if not (1 <= i <= nr and (j is None or 1 <= j <= nc)):
         return REF_ERROR
-    return arr.at(i - 1, j - 1)
+    if type(area) is Ref:
+        return area.part(range(i - 1, i), range(nc) if j is None else range(j - 1, j))
+    return Array((area.rows[i - 1],)) if j is None else area.rows[i - 1][j - 1]
 
 
 @register("IF", 2, 3, raw=True)
@@ -555,11 +551,11 @@ def _if(ctx, env, args):
     only where that branch is selected."""
     then_arg = args[1]
     else_arg = args[2] if len(args) > 2 else E.OMITTED_ARG
-    cond = evaluate(args[0], env, ctx)
+    cond = read(evaluate(args[0], env, ctx), ctx)
     if isinstance(cond, ErrorValue):
         return cond
     if isinstance(cond, Array):
-        operands = (cond, _branch_value(then_arg, env, ctx), _branch_value(else_arg, env, ctx))
+        operands = (cond, *(read(_branch_value(a, env, ctx), ctx) for a in (then_arg, else_arg)))
         nr, nc = common_shape(operands)
         out = []
         for r in range(nr):
@@ -590,39 +586,16 @@ def _select_cell(cond, then_v, else_v):
 
 @register("ROW", 1, 1, raw=True)
 def _row(ctx, env, args):
-    """Row number(s) of a reference: a scalar for one row, a spilled column
-    otherwise. Works through lambda parameters because arrays read from a
-    range carry their grid origin."""
-    target = args[0]
-    if isinstance(target, E.CellRef):
-        return float(target.row)
-    if isinstance(target, E.RangeRef):
-        r1, r2 = target.start.row, target.end.row
-        if r1 == r2:
-            return float(r1)
-        return Array.col([float(r) for r in range(r1, r2 + 1)])
-    if isinstance(target, E.Call) and isinstance(target.callee, E.NameRef) \
-            and target.callee.name.upper() == "INDEX" and len(target.args) >= 2:
-        base = evaluate(target.args[0], env, ctx)
-        if isinstance(base, ErrorValue):
-            return base
-        if not isinstance(base, Array) or base.origin is None:
-            return VALUE_ERROR
-        i = Int(evaluate(target.args[1], env, ctx))
-        if isinstance(i, ErrorValue):
-            return i
-        if not (1 <= i <= base.n_rows):
-            return REF_ERROR
-        return float(base.origin[1] + i - 1)
-    value = evaluate(target, env, ctx)
-    if isinstance(value, ErrorValue):
-        return value
-    if isinstance(value, Array) and value.origin is not None:
-        r0 = value.origin[1]
-        if value.n_rows == 1:
-            return float(r0)
-        return Array.col([float(r) for r in range(r0, r0 + value.n_rows)])
-    return VALUE_ERROR
+    """Row number(s) of a reference: a scalar for one row, else a column. A
+    bare cell reference is one, though it evaluates to the cell's value."""
+    if isinstance(args[0], E.CellRef):
+        return float(args[0].row)
+    ref = evaluate(args[0], env, ctx)
+    if type(ref) is not Ref:
+        return ref if isinstance(ref, ErrorValue) else VALUE_ERROR
+    if ref.r1 == ref.r2:
+        return float(ref.r1)
+    return Array.col([float(r) for r in range(ref.r1, ref.r2 + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 A scalar is represented by a plain Python value: ``float`` (finite) for
 numbers, ``str`` for text, ``bool`` for booleans, and the ``EMPTY``
 singleton for a blank cell. Errors are `ErrorValue` instances and arrays
-are immutable `Array` objects; both may appear wherever a scalar may.
+are immutable `Array` objects; both may appear wherever a scalar may. A
+`Ref` names a rectangle of cells, which are read where a value is used.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 
 class ErrorKind(enum.Enum):
@@ -95,16 +96,11 @@ class DateSerial(float):
 
 
 class Array:
-    """An immutable rectangular 2D block of scalars and errors (rows >= 1, cols >= 1).
+    """An immutable rectangular 2D block of scalars and errors (rows >= 1, cols >= 1)."""
 
-    ``origin`` optionally records the grid position (sheet, row, col) of the
-    top-left cell when the array was read from a range or spill region; it is
-    dropped by any arithmetic.
-    """
+    __slots__ = ("rows", "n_rows", "n_cols")
 
-    __slots__ = ("rows", "n_rows", "n_cols", "origin")
-
-    def __init__(self, rows, origin=None):
+    def __init__(self, rows):
         # tuple() returns a tuple argument itself, so rows that already are
         # tuples are shared, not copied.
         rows = tuple(map(tuple, rows))
@@ -115,7 +111,6 @@ class Array:
         self.rows = rows
         self.n_rows = len(rows)
         self.n_cols = len(rows[0])
-        self.origin = origin
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -131,9 +126,6 @@ class Array:
     def column(self) -> list:
         """Row-major flattening (the iteration order of SCAN/REDUCE)."""
         return [v for row in self.rows for v in row]
-
-    def is_vector(self) -> bool:
-        return self.n_rows == 1 or self.n_cols == 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Array) and self.rows == other.rows
@@ -155,6 +147,27 @@ class Array:
     @staticmethod
     def row(values) -> "Array":
         return Array((tuple(values),))
+
+
+class Ref(NamedTuple):
+    """A reference: the cells from (r1, c1) to (r2, c2) of the sheet keyed
+    ``sheet``. INDEX, TAKE and DROP narrow it and ROW and ``@`` read its
+    rectangle; any other use reads its cells (``Workbook.read``)."""
+
+    sheet: str
+    r1: int
+    c1: int
+    r2: int
+    c2: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.r2 - self.r1 + 1, self.c2 - self.c1 + 1
+
+    def part(self, rows: range, cols: range) -> "Ref":
+        """The cells at offsets ``rows`` x ``cols``, counted from 0."""
+        r, c = self.r1, self.c1
+        return Ref(self.sheet, r + rows[0], c + cols[0], r + rows[-1], c + cols[-1])
 
 
 @dataclass(frozen=True)
@@ -185,12 +198,17 @@ class Closure:
         return f"Closure({', '.join(p.name for p in self.params)})"
 
 
-def element(v):
+def element(v, wb=None):
     """``v`` as an array element: a scalar or an error is kept, an omitted
-    argument is blank, and an array or a lambda is #CALC!."""
+    argument is blank, a reference is read through the workbook ``wb``, a
+    1x1 array is its one value, and a larger array or a lambda is #CALC!."""
+    if type(v) is Ref:
+        v = wb.read(v)
+    if isinstance(v, Array):
+        return v.rows[0][0] if v.n_rows == 1 and v.n_cols == 1 else CALC_ERROR
     if v is OMITTED:
         return EMPTY
-    return CALC_ERROR if isinstance(v, (Array, Closure)) else v
+    return CALC_ERROR if isinstance(v, Closure) else v
 
 
 # ---------------------------------------------------------------------------

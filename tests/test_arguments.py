@@ -10,7 +10,7 @@ import pytest
 
 from gridlambda import Workbook
 from gridlambda.functions import registry
-from gridlambda.values import EMPTY, OMITTED, Array, Closure, ErrorValue
+from gridlambda.values import EMPTY, OMITTED, Array, Closure, ErrorValue, Ref
 
 # A valid call of each builtin; the table replaces one argument at a time.
 BASE = {
@@ -172,9 +172,10 @@ def test_argument_failures(wb, name, pos):
 @pytest.mark.parametrize("name, pos", list(TABLE), ids=[f"{n}-{p}" for n, p in TABLE])
 def test_array_elements_are_scalars_or_errors(wb, name, pos):
     for value, result in zip(INPUTS, results(wb, name, pos)):
+        assert not isinstance(result, Ref), value
         if isinstance(result, Array):
             for cell in result.cells():
-                assert not isinstance(cell, (Array, Closure)) and cell is not OMITTED, value
+                assert not isinstance(cell, (Array, Closure, Ref)) and cell is not OMITTED, value
 
 
 @pytest.mark.parametrize("formula", list(PRECEDENCE))

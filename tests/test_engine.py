@@ -457,6 +457,8 @@ def test_intersection_outside_extent_is_value_error():
     wb.set_cell("B12", "=@$A$1:$A$10")
     wb.recalculate()
     assert kind(wb.cell_value("Sheet1", 12, 2)) == ErrorKind.VALUE
+    assert wb.cell_value("Sheet1", 12, 2).detail == "no cell of Sheet1!A1:A10 in row 12"
+    assert wb.evaluate_formula("=@$A$1:$A$10").detail == "no caller"
 
 
 def test_intersection_by_column_for_row_operand():
@@ -796,7 +798,7 @@ def test_spill_array_returns_the_placed_array_without_copying():
     wb.recalculate()
     first = wb.spill_array("Sheet1", 1, 2)
     assert first is wb.spill_array("Sheet1", 1, 2)
-    assert first.origin == ("sheet1", 1, 2)
+    assert wb.evaluate_formula("=ROW(B1#)") == Array.col([1.0, 2.0, 3.0, 4.0])
     assert wb.evaluate_formula("=INDEX(B1#, 3)") == 3.0
 
 

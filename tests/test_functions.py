@@ -488,6 +488,49 @@ def test_row_through_lambda_parameter():
     assert wb.evaluate_formula("=Rowλ(B7:C7, B5:C10)") == 3.0
 
 
+@pytest.mark.parametrize("formula", [
+    "=ROW(LET(i, INDEX(B1:B3, 2, 1), i))",
+    "=LAMBDA(c, ROW(c))(INDEX(B1:B3, 2, 1))",
+])
+def test_row_of_a_reference_held_by_a_name(wb, formula):
+    # INDEX returns a reference, which a LET name or a lambda parameter keeps.
+    assert wb.evaluate_formula(formula) == 2.0
+
+
+@pytest.fixture
+def one_cell_region():
+    wb = Workbook()
+    wb.set_cell("E1", "=SEQUENCE(1)")
+    wb.recalculate()
+    return wb
+
+
+def test_a_one_by_one_lambda_result_is_an_element(wb):
+    assert col(wb.evaluate_formula("=MAP({1,2}, LAMBDA(x, SEQUENCE(1)))")) == [1.0, 1.0]
+
+
+def test_index_into_a_one_by_one_region_is_an_element(one_cell_region):
+    out = one_cell_region.evaluate_formula("=MAP({1,2}, LAMBDA(x, INDEX(E1#, 1, 1) * 2))")
+    assert col(out) == [2.0, 2.0]
+
+
+def test_a_one_by_one_region_read_whole_places_a_region(one_cell_region):
+    wb = one_cell_region
+    wb.set_cell("F1", "=E1#")
+    wb.recalculate()
+    assert wb.spill_region("F1") == (1, 1)
+    assert wb.evaluate_formula("=F1#").rows == ((1.0,),)
+
+
+def test_a_one_cell_range_reads_as_the_cell_value():
+    wb = Workbook()
+    wb.set_cell("A9", 5.0)
+    wb.set_cell("G1", "=A9:A9")
+    wb.recalculate()
+    assert wb.cell_value("Sheet1", 1, 7) == 5.0
+    assert wb.spill_region("G1") is None
+
+
 # -- CONVOLVE bridge ------------------------------------------------------------------
 
 
