@@ -391,15 +391,15 @@ class Workbook:
         return EMPTY
 
     def read(self, ref: Ref):
-        """The value of the cells ``ref`` names: the placed Array when they
-        are exactly a placed region, the cell's value when they are one
-        cell, and otherwise an Array read cell by cell."""
-        sheet, r1, c1, r2, c2 = ref
+        """The value of the cells ``ref`` names: the cell's value for one
+        cell other than a ``#`` reference, the placed Array when they are
+        exactly a placed region, and otherwise an Array read cell by cell."""
+        sheet, r1, c1, r2, c2, spill = ref
+        if r1 == r2 and c1 == c2 and not spill:
+            return self.cell_value(sheet, r1, c1)
         arr = self._placed((sheet, r1, c1))
         if arr is not None and arr.shape == (r2 - r1 + 1, c2 - c1 + 1):
             return arr
-        if r1 == r2 and c1 == c2:
-            return self.cell_value(sheet, r1, c1)
         cols = range(c1, c2 + 1)
         return Array([[self.cell_value(sheet, r, c) for c in cols] for r in range(r1, r2 + 1)])
 

@@ -109,8 +109,11 @@ class EvalContext:
     depth: int = 0
     trace: TraceSink = field(default_factory=TraceSink)
 
-    def current_sheet(self) -> str:
-        return self.caller[0] if self.caller is not None else self.workbook.default_sheet
+    def current_sheet(self) -> str | None:
+        if self.caller is not None:
+            return self.caller[0]
+        wb = self.workbook
+        return wb.default_sheet if wb is not None else None
 
 
 # Builtin registry, populated by the functions module on import.
@@ -128,7 +131,7 @@ class Builtin:
     # One entry per positional parameter after ``ctx``: its coercer, or None
     # for a value passed unchanged. Empty when no parameter has a coercer.
     coercers: tuple = ()
-    # The positions whose coercer keeps a `Ref`; other references are read.
+    # Positions whose coercer sets ``keeps_ref``: a `Ref` there is not read.
     keeps_ref: frozenset = frozenset()
 
 
@@ -144,8 +147,7 @@ def register(name: str, min_args: int, max_args: int, raw: bool = False):
 
 def _coercers(fn) -> tuple:
     """The coercers a builtin declares as its parameters' annotations. A
-    parameter with a default takes it for a blank or omitted argument. A
-    coercer with a true ``keeps_ref`` attribute receives a `Ref` unread."""
+    parameter with a default takes it for a blank or omitted argument."""
     params = list(inspect.signature(fn, eval_str=True).parameters.values())[1:]
     out = tuple(_coercer(p) for p in params if p.kind is p.POSITIONAL_OR_KEYWORD)
     return out if any(out) else ()
@@ -256,8 +258,11 @@ def _num_percent(a):
 
 
 def read(value, ctx: EvalContext):
-    """``value``, or the value of the cells it names when it is a `Ref`."""
-    return ctx.workbook.read(value) if type(value) is Ref else value
+    """``value``, or the value of the cells it names when it is a `Ref`
+    (#REF! without a workbook)."""
+    if type(value) is not Ref:
+        return value
+    return REF_ERROR if ctx.workbook is None else ctx.workbook.read(value)
 
 
 def evaluate(expr, env: Environment, ctx: EvalContext):
@@ -283,15 +288,20 @@ def _eval_binary(expr: E.BinaryOp, env: Environment, ctx: EvalContext):
     return lift_elementwise(_BINARY_KERNELS[expr.op], (lhs, rhs))
 
 
-def _eval_unary(expr: E.UnaryOp | E.PercentPostfix, env: Environment, ctx: EvalContext):
-    """``+x`` is x itself; ``-x`` and ``x%`` apply their kernel per cell."""
+def _eval_unary(expr: E.UnaryOp, env: Environment, ctx: EvalContext):
     val = read(evaluate(expr.operand, env, ctx), ctx)
-    percent = type(expr) is E.PercentPostfix
-    if not percent and expr.op == "+":
+    if expr.op == "+":
         return val
     if isinstance(val, Closure):
         return VALUE_ERROR
-    return lift_elementwise(_num_percent if percent else _num_neg, (val,))
+    return lift_elementwise(_num_neg, (val,))
+
+
+def _eval_percent(expr: E.PercentPostfix, env: Environment, ctx: EvalContext):
+    val = read(evaluate(expr.operand, env, ctx), ctx)
+    if isinstance(val, Closure):
+        return VALUE_ERROR
+    return lift_elementwise(_num_percent, (val,))
 
 
 def _eval_name(expr: E.NameRef, env: Environment, ctx: EvalContext):
@@ -341,10 +351,9 @@ def _eval_cell_ref(ref: E.CellRef, env: Environment, ctx: EvalContext):
 
 
 def _eval_range_ref(ref: E.RangeRef, env: Environment, ctx: EvalContext):
-    if ctx.workbook is None:
-        return REF_ERROR
-    sheet = (ref.sheet or ctx.current_sheet()).casefold()
-    return Ref(sheet, ref.start.row, ref.start.col, ref.end.row, ref.end.col)
+    # Without a workbook the reference has no sheet; ROW still reads its rows.
+    sheet = ref.sheet or ctx.current_sheet()
+    return Ref(sheet and sheet.casefold(), ref.start.row, ref.start.col, ref.end.row, ref.end.col)
 
 
 def _eval_spill_ref(expr: E.SpillRef, env: Environment, ctx: EvalContext):
@@ -358,7 +367,7 @@ def _eval_spill_ref(expr: E.SpillRef, env: Environment, ctx: EvalContext):
     arr = wb.spill_array(sheet, row, col)
     if arr is None:
         return ErrorValue(REF_ERROR.kind, "referent is not a spill anchor")
-    return Ref(sheet, row, col, row + arr.n_rows - 1, col + arr.n_cols - 1)
+    return Ref(sheet, row, col, row + arr.n_rows - 1, col + arr.n_cols - 1, spill=True)
 
 
 def _resolve_spill_target(target, lookup_name):
@@ -389,7 +398,9 @@ def _eval_intersect(expr: E.ImplicitIntersect, env: Environment, ctx: EvalContex
     value = evaluate(expr.inner, env, ctx)
     if type(value) is not Ref:
         return value.rows[0][0] if isinstance(value, Array) else value
-    sheet, r1, c1, r2, c2 = value
+    if ctx.workbook is None:
+        return REF_ERROR
+    sheet, r1, c1, r2, c2, _ = value
     if ctx.caller is None and (r1, c1) != (r2, c2):
         return ErrorValue(VALUE_ERROR.kind, "no caller")
     _, row, col = ctx.caller or value[:3]  # one cell needs no caller
@@ -479,5 +490,5 @@ _DISPATCH = {
     E.Lambda: lambda expr, env, ctx: Closure(expr.params, expr.body, env),
     E.BinaryOp: _eval_binary,
     E.UnaryOp: _eval_unary,
-    E.PercentPostfix: _eval_unary,
+    E.PercentPostfix: _eval_percent,
 }

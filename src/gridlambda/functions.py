@@ -68,7 +68,7 @@ Area.keeps_ref = True
 def Vector(v):
     """An array of one row or one column."""
     arr = Arr(v)
-    if isinstance(arr, Array) and arr.n_rows > 1 and arr.n_cols > 1:
+    if isinstance(arr, Array) and not arr.is_vector():
         return VALUE_ERROR
     return arr
 
@@ -145,23 +145,29 @@ def _map(ctx, *args):
     fn = Fn(len(arrays))(args[-1])
     if isinstance(fn, ErrorValue):
         return fn
-    wb = ctx.workbook
-    result = lift_elementwise(lambda *cells: element(apply_closure(fn, cells, ctx), wb), arrays)
+    result = lift_elementwise(lambda *cells: element(read(apply_closure(fn, cells, ctx), ctx)), arrays)
     return result.at(0, 0) if result.shape == (1, 1) else result
 
 
 @register("BYROW", 2, 2)
 def _byrow(ctx, array: Arr, fn: Fn(1)):
-    return Array.col(_each(ctx, fn, [Array((row,)) for row in array.rows]))
+    return _by_axis(ctx, array, fn, axis="row")
 
 
 @register("BYCOL", 2, 2)
 def _bycol(ctx, array: Arr, fn: Fn(1)):
-    return Array.row(_each(ctx, fn, [Array.col(column) for column in zip(*array.rows)]))
+    return _by_axis(ctx, array, fn, axis="col")
 
 
-def _each(ctx, fn, slices) -> list:
-    return [element(apply_closure(fn, [s], ctx), ctx.workbook) for s in slices]
+def _by_axis(ctx, arr, fn, axis):
+    if axis == "row":
+        slices = [Array((row,)) for row in arr.rows]
+    else:
+        slices = [Array(tuple((row[c],) for row in arr.rows)) for c in range(arr.n_cols)]
+    results = [element(read(apply_closure(fn, [s], ctx), ctx)) for s in slices]
+    if axis == "row":
+        return Array.col(results)
+    return Array.row(results)
 
 
 @register("SCAN", 3, 3)
@@ -171,7 +177,7 @@ def _scan(ctx, init: Scalar, array: Arr, fn: Fn(2)):
     for row in array.rows:
         out_row = []
         for cell in row:
-            acc = element(apply_closure(fn, [acc, cell], ctx), ctx.workbook)
+            acc = element(read(apply_closure(fn, [acc, cell], ctx), ctx))
             out_row.append(acc)
         out.append(tuple(out_row))
     return Array(out)
@@ -196,7 +202,7 @@ def _makearray(ctx, rows: Int, cols: Int, fn: Fn(2)):
     out = []
     for r in range(1, rows + 1):
         row = [
-            element(apply_closure(fn, [float(r), float(c)], ctx), ctx.workbook)
+            element(read(apply_closure(fn, [float(r), float(c)], ctx), ctx))
             for c in range(1, cols + 1)
         ]
         out.append(tuple(row))

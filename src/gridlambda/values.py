@@ -127,6 +127,9 @@ class Array:
         """Row-major flattening (the iteration order of SCAN/REDUCE)."""
         return [v for row in self.rows for v in row]
 
+    def is_vector(self) -> bool:
+        return self.n_rows == 1 or self.n_cols == 1
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Array) and self.rows == other.rows
 
@@ -151,14 +154,17 @@ class Array:
 
 class Ref(NamedTuple):
     """A reference: the cells from (r1, c1) to (r2, c2) of the sheet keyed
-    ``sheet``. INDEX, TAKE and DROP narrow it and ROW and ``@`` read its
-    rectangle; any other use reads its cells (``Workbook.read``)."""
+    ``sheet`` (None without a workbook); ``spill`` marks a whole placed
+    region named with ``#``. INDEX, TAKE and DROP narrow it and ROW and
+    ``@`` read its rectangle; any other use reads its cells
+    (``Workbook.read``)."""
 
-    sheet: str
+    sheet: str | None
     r1: int
     c1: int
     r2: int
     c2: int
+    spill: bool = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -198,12 +204,10 @@ class Closure:
         return f"Closure({', '.join(p.name for p in self.params)})"
 
 
-def element(v, wb=None):
+def element(v):
     """``v`` as an array element: a scalar or an error is kept, an omitted
-    argument is blank, a reference is read through the workbook ``wb``, a
-    1x1 array is its one value, and a larger array or a lambda is #CALC!."""
-    if type(v) is Ref:
-        v = wb.read(v)
+    argument is blank, a 1x1 array is its one value, and a larger array or
+    a lambda is #CALC!."""
     if isinstance(v, Array):
         return v.rows[0][0] if v.n_rows == 1 and v.n_cols == 1 else CALC_ERROR
     if v is OMITTED:

@@ -531,6 +531,41 @@ def test_a_one_cell_range_reads_as_the_cell_value():
     assert wb.spill_region("G1") is None
 
 
+@pytest.mark.parametrize("formula, value", [
+    ("=SEQUENCE(INDEX(E1#, 1, 1))", 1.0),
+    ("=INDEX(B1:B9, INDEX(E1#, 1, 1))", 7.0),
+    ("=SEQUENCE(INDEX(D1:D3, 2))", 1.0),
+    ("=INDEX(D1:D3, 2) * 2", 2.0),
+    ("=INDEX(E1#, 1, 1) * 2", 2.0),
+])
+def test_one_cell_of_a_one_by_one_region_is_a_scalar(one_cell_region, formula, value):
+    # Only ``E1#`` itself reads as the placed 1x1 array; a one-cell part of a
+    # reference, or a range over the anchor, reads as the cell's value.
+    wb = one_cell_region
+    wb.set_cell("B1", 7.0)
+    wb.set_cell("D2", "=SEQUENCE(1)")
+    wb.set_cell("G1", formula)
+    wb.set_cell("G2", "=D2:D2")
+    wb.recalculate()
+    assert wb.cell_value("Sheet1", 1, 7) == value
+    assert (wb.spill_region("G1") is not None) == formula.startswith("=SEQUENCE")
+    assert wb.cell_value("Sheet1", 2, 7) == 1.0
+    assert wb.spill_region("G2") is None
+
+
+def test_row_of_a_range_needs_no_workbook():
+    from gridlambda import parse_formula
+    from gridlambda.evaluator import Environment, EvalContext, evaluate
+
+    def run(text):
+        return evaluate(parse_formula(text), Environment(), EvalContext())
+
+    assert col(run("=ROW(A1:A3)")) == [1.0, 2.0, 3.0]
+    assert run("=ROW(INDEX(A1:A3, 2))") == 2.0
+    assert kind(run("=SUM(A1:A3)")) == ErrorKind.REF
+    assert kind(run("=@A1:A3")) == ErrorKind.REF
+
+
 # -- CONVOLVE bridge ------------------------------------------------------------------
 
 
