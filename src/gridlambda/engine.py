@@ -485,13 +485,13 @@ class Workbook:
         self._retry |= calc.circled
         return report
 
-    def _readers(self, addr: Address, placed: set[Address] | None = None) -> set[Address]:
+    def _readers(self, addr: Address) -> set[Address]:
         """The cells that read ``addr``. When ``addr`` is the anchor of a
-        placed region, one in ``placed`` if that is given, a read of a member
-        of the region counts as a read of the anchor, so the anchor evaluates
-        first, and a cell that reads its own spill output is its own reader."""
+        placed region, a read of a member of the region counts as a read of
+        the anchor, so the anchor evaluates first, and a cell that reads its
+        own spill output is its own reader."""
         readers = self._deps_in.get(addr, _NO_READS)
-        arr = self._placed(addr) if placed is None or addr in placed else None
+        arr = self._placed(addr)
         if arr is not None:
             readers = readers | self._member_readers(addr, arr.shape)
         return readers
@@ -526,11 +526,12 @@ class Workbook:
         those of regions placed in this recalculation close a cycle. An older
         region may not be placed again, so a component that is cyclic only
         through one is split along its other edges. Its older regions are
-        vacated first, so a member reader that evaluates before the anchor
-        reads a blank, as in a fresh load, and goes around again if the
-        anchor places the region again. Once circular within this
-        recalculation, always circular: a cell whose spill feeds itself must
-        not flip back to placed when vacating it removes the self edge."""
+        vacated first, so the split walk sees no member edge of theirs, and a
+        member reader that evaluates before the anchor reads a blank, as in a
+        fresh load, and goes around again if the anchor places the region
+        again. Once circular within this recalculation, always circular: a
+        cell whose spill feeds itself must not flip back to placed when
+        vacating it removes the self edge."""
         head = component[0]
         if len(component) == 1 and head not in work[head]:
             return [(component, head in calc.circled)]
@@ -540,7 +541,7 @@ class Workbook:
                 next_dirty |= self._retry  # the freed cells may unblock an anchor
         inside = set(component)
         groups, succ = _tarjan_sccs(
-            sorted(component, reverse=True), lambda addr: self._readers(addr, calc.placed) & inside
+            sorted(component, reverse=True), lambda addr: self._readers(addr) & inside
         )
         return [
             (group, len(group) > 1 or group[0] in succ[group[0]] or group[0] in calc.circled)

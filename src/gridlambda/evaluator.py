@@ -52,51 +52,25 @@ class TraceSink:
         self.counters.clear()
 
 
-_UNEVALUATED = 0
-_IN_PROGRESS = 1
-_MEMOIZED = 2
-
-
 class Binding:
-    """A LET binding: evaluated on first use, then memoized."""
+    """A LET binding not yet read. Its first read evaluates ``expr`` in the
+    frame before the binding and puts the value in its place."""
 
-    __slots__ = ("state", "expr", "env", "value")
+    __slots__ = ("expr",)
 
-    def __init__(self, expr, env):
-        self.state = _UNEVALUATED
+    def __init__(self, expr):
         self.expr = expr
-        self.env = env
-        self.value = None
-
-    @staticmethod
-    def of_value(value) -> "Binding":
-        b = Binding(None, None)
-        b.state = _MEMOIZED
-        b.value = value
-        return b
 
 
 class Environment:
-    """A lexical frame of name -> Binding, chained to a parent frame."""
+    """A lexical frame of casefolded name -> value (or a `Binding` not yet
+    read), chained to a parent frame. ``Environment()`` is the empty root."""
 
     __slots__ = ("parent", "frame")
 
-    def __init__(self, parent: "Environment | None" = None):
+    def __init__(self, parent: "Environment | None" = None, frame: dict | None = None):
         self.parent = parent
-        self.frame: dict[str, Binding] = {}
-
-    def define(self, name: str, binding: Binding):
-        self.frame[name.casefold()] = binding
-
-    def lookup(self, name: str) -> Binding | None:
-        key = name.casefold()
-        env = self
-        while env is not None:
-            hit = env.frame.get(key)
-            if hit is not None:
-                return hit
-            env = env.parent
-        return None
+        self.frame = {} if frame is None else frame
 
 
 @dataclass
@@ -306,9 +280,15 @@ def _eval_percent(expr: E.PercentPostfix, env: Environment, ctx: EvalContext):
 
 def _eval_name(expr: E.NameRef, env: Environment, ctx: EvalContext):
     name = expr.name
-    binding = env.lookup(name)
-    if binding is not None:
-        return _resolve_binding(name, binding, ctx)
+    key = name.casefold()
+    while env is not None:
+        value = env.frame.get(key)  # values are never None
+        if value is not None:
+            if type(value) is Binding:
+                ctx.trace.record("let", name)
+                value = env.frame[key] = evaluate(value.expr, env.parent, ctx)
+            return value
+        env = env.parent
     wb = ctx.workbook
     if wb is not None:
         defined = wb.lookup_name(name)
@@ -318,28 +298,13 @@ def _eval_name(expr: E.NameRef, env: Environment, ctx: EvalContext):
     return ErrorValue(NAME_ERROR.kind, f"unknown name {name!r}")
 
 
-def _resolve_binding(name: str, binding: Binding, ctx: EvalContext):
-    if binding.state == _MEMOIZED:
-        return binding.value
-    if binding.state == _IN_PROGRESS:
-        return ErrorValue(NAME_ERROR.kind, f"binding {name!r} refers to itself")
-    binding.state = _IN_PROGRESS
-    ctx.trace.record("let", name)
-    value = evaluate(binding.expr, binding.env, ctx)
-    binding.state = _MEMOIZED
-    binding.value = value
-    return value
-
-
 def _eval_let(expr: E.Let, env: Environment, ctx: EvalContext):
-    # Each binding opens a frame chained onto the previous one, so a binding
-    # expression sees earlier names only.
-    current = env
+    # Each binding opens a frame chained onto the previous one, and its
+    # expression is evaluated in the frame before it, so it sees earlier
+    # names only, not itself.
     for name, value_expr in expr.bindings:
-        frame = Environment(current)
-        frame.define(name, Binding(value_expr, frame))
-        current = frame
-    return evaluate(expr.body, current, ctx)
+        env = Environment(env, {name.casefold(): Binding(value_expr)})
+    return evaluate(expr.body, env, ctx)
 
 
 def _eval_cell_ref(ref: E.CellRef, env: Environment, ctx: EvalContext):
@@ -434,20 +399,18 @@ def _apply_value(fn, args, env: Environment, ctx: EvalContext):
 
 
 def apply_closure(closure: Closure, args, ctx: EvalContext):
-    """Apply a closure to evaluated arguments, binding omitted optionals."""
-    if len(args) > closure.max_arity:
+    """Apply a closure to evaluated arguments; a missing optional one is OMITTED."""
+    n = len(args)
+    if n > closure.max_arity:
         return ErrorValue(VALUE_ERROR.kind, "too many arguments")
-    if len(args) < closure.min_arity:
+    if n < closure.min_arity:
         return ErrorValue(VALUE_ERROR.kind, "missing required argument")
     if ctx.depth >= ctx.depth_limit:
         return ErrorValue(NUM_ERROR.kind, "recursion limit exceeded")
-    frame = Environment(closure.env)
-    for i, param in enumerate(closure.params):
-        value = args[i] if i < len(args) else OMITTED
-        frame.define(param.name, Binding.of_value(value))
+    frame = {p.name.casefold(): args[i] if i < n else OMITTED for i, p in enumerate(closure.params)}
     ctx.depth += 1
     try:
-        return evaluate(closure.body, frame, ctx)
+        return evaluate(closure.body, Environment(closure.env, frame), ctx)
     finally:
         ctx.depth -= 1
 

@@ -35,6 +35,7 @@ from .values import (
     DateSerial,
     ErrorValue,
     Ref,
+    _comparison_key,
     cell_in,
     coerce_to_bool,
     coerce_to_number,
@@ -340,19 +341,11 @@ def _filter(ctx, arr: Arr, include: Vector, if_empty=OMITTED):
     return Array(rows)
 
 
-_SORT_RANK = {"number": 0, "text": 1, "bool": 2, "empty": 3, "error": 4}
-
-
 def _sort_key(cell):
+    """The order of `compare_scalars`, then blanks, then errors."""
     if isinstance(cell, ErrorValue):
-        return (_SORT_RANK["error"], cell.kind.value)
-    if isinstance(cell, bool):
-        return (_SORT_RANK["bool"], cell)
-    if isinstance(cell, (int, float)):
-        return (_SORT_RANK["number"], float(cell))
-    if isinstance(cell, str):
-        return (_SORT_RANK["text"], cell.casefold())
-    return (_SORT_RANK["empty"], 0)
+        return 4, cell.kind.value
+    return (3, 0) if cell is EMPTY else _comparison_key(cell)
 
 
 @register("SORT", 1, 3)

@@ -265,12 +265,13 @@ class _Parser:
 
     def call(self, callee: E.Expr) -> E.Expr:
         open_tok = self.expect_punct("(")
+        upper = callee.name.upper() if isinstance(callee, E.NameRef) else None
         args: list[E.Expr] = []
         if self.at_punct(")"):
             self.next()
         else:
             while True:
-                args.append(self.argument())
+                args.append(self.argument(upper == "LAMBDA"))
                 tok = self.peek()
                 if tok.kind == "end":
                     raise ParseError("unclosed argument list", tok.start, expected=(")",))
@@ -279,28 +280,24 @@ class _Parser:
                 self.pos += 1
                 if tok.lexeme == ")":
                     break
-        if isinstance(callee, E.NameRef):
-            upper = callee.name.upper()
-            if upper == "LET":
-                return self._make_let(args, open_tok)
-            if upper == "LAMBDA":
-                return self._make_lambda(args, open_tok)
-        for a in args:
-            if isinstance(a, _OptionalParamMarker):
-                raise ParseError("optional parameter marker outside LAMBDA", a.offset)
+        if upper == "LET":
+            return self._make_let(args, open_tok)
+        if upper == "LAMBDA":
+            return self._make_lambda(args, open_tok)
         return E.Call(callee, tuple(args))
 
-    def argument(self) -> E.Expr:
+    def argument(self, in_lambda: bool) -> E.Expr | Param:
+        """One argument; in a LAMBDA's list, ``[name]`` is an optional parameter."""
         tok = self.peek()
         if tok.kind == "punct" and tok.lexeme in (",", ")"):
             return E.OMITTED_ARG
-        if tok.kind == "punct" and tok.lexeme == "[":
+        if in_lambda and tok.kind == "punct" and tok.lexeme == "[":
             self.next()
             name_tok = self.next()
             if name_tok.kind != "ident":
                 raise ParseError("expected parameter name after '['", name_tok.start)
             self.expect_punct("]")
-            return _OptionalParamMarker(name_tok.lexeme, tok.start)
+            return Param(name_tok.lexeme, optional=True)
         return self.expression()
 
     def _make_let(self, args: list[E.Expr], open_tok: Token) -> E.Expr:
@@ -314,13 +311,12 @@ class _Parser:
             name = args[i]
             if not isinstance(name, E.NameRef):
                 raise ParseError("LET binding name must be an identifier", open_tok.start)
-            if isinstance(args[i + 1], _OptionalParamMarker) or args[i + 1] is E.OMITTED_ARG:
+            if args[i + 1] is E.OMITTED_ARG:
                 raise ParseError("LET binding value missing", open_tok.start)
             bindings.append((name.name, args[i + 1]))
-        body = args[-1]
-        if isinstance(body, _OptionalParamMarker) or body is E.OMITTED_ARG:
+        if args[-1] is E.OMITTED_ARG:
             raise ParseError("LET body missing", open_tok.start)
-        return E.Let(tuple(bindings), body)
+        return E.Let(tuple(bindings), args[-1])
 
     def _make_lambda(self, args: list[E.Expr], open_tok: Token) -> E.Expr:
         if len(args) < 1:
@@ -329,8 +325,8 @@ class _Parser:
         seen_optional = False
         seen: set[str] = set()
         for a in args[:-1]:
-            if isinstance(a, _OptionalParamMarker):
-                param = Param(a.name, optional=True)
+            if isinstance(a, Param):
+                param = a
                 seen_optional = True
             elif isinstance(a, E.NameRef):
                 if seen_optional:
@@ -344,7 +340,7 @@ class _Parser:
             seen.add(key)
             params.append(param)
         body = args[-1]
-        if isinstance(body, _OptionalParamMarker) or body is E.OMITTED_ARG:
+        if isinstance(body, Param) or body is E.OMITTED_ARG:
             raise ParseError("LAMBDA body missing", open_tok.start)
         return E.Lambda(tuple(params), body)
 
@@ -437,16 +433,6 @@ class _Parser:
         if tok.kind in _LITERAL_KINDS:
             return tok.value
         raise ParseError("array literals hold scalar constants only", tok.start)
-
-
-class _OptionalParamMarker(E.Expr):
-    """Transient parse node for ``[name]``; only valid as a LAMBDA parameter."""
-
-    __slots__ = ("name", "offset")
-
-    def __init__(self, name: str, offset: int):
-        self.name = name
-        self.offset = offset
 
 
 def _normalized_range(first: E.CellRef, second: E.CellRef, sheet: str | None) -> E.RangeRef:

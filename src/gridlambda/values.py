@@ -185,20 +185,14 @@ class Param:
 class Closure:
     """A lambda value: parameter list, body expression, captured environment."""
 
-    __slots__ = ("params", "body", "env")
+    __slots__ = ("params", "body", "env", "min_arity", "max_arity")
 
     def __init__(self, params, body, env):
         self.params = tuple(params)
         self.body = body
         self.env = env
-
-    @property
-    def min_arity(self) -> int:
-        return sum(1 for p in self.params if not p.optional)
-
-    @property
-    def max_arity(self) -> int:
-        return len(self.params)
+        self.min_arity = sum(not p.optional for p in self.params)
+        self.max_arity = len(self.params)
 
     def __repr__(self) -> str:
         return f"Closure({', '.join(p.name for p in self.params)})"

@@ -1069,6 +1069,46 @@ def test_random_edits_match_a_fresh_load():
     assert mismatched == [], "replay with fuzz_edits(random.Random(seed))"
 
 
+def spill_fuzz_edits(rng):
+    """2 to 8 random edits of A1:D5 whose formulas spill, shrink and read
+    each other's regions, with a recalculation after about half of them."""
+
+    def cell():
+        return f"{rng.choice('ABCD')}{rng.randint(1, 5)}"
+
+    edits = []
+    for _ in range(rng.randint(2, 8)):
+        op, x, y = rng.random(), cell(), cell()
+        if op < 0.15:
+            edits.append(("clear_cell", cell()))
+        elif op < 0.3:
+            edits.append(("set_cell", cell(), float(rng.randint(1, 4))))
+        else:
+            edits.append(("set_cell", cell(), rng.choice([
+                f"=IF({x}>2,SEQUENCE(2),{y})",
+                f"=IF({x}>1,SEQUENCE(1,2),{y})",
+                "=SEQUENCE(2,2)",
+                f"={x}*SEQUENCE(2)",
+                f"=TAKE({x}#,1)",
+            ])))
+        if rng.random() < 0.5:
+            edits.append(("recalculate",))
+    return edits
+
+
+def test_random_spill_edits_match_a_fresh_load():
+    mismatched = []
+    for seed in range(2000):
+        wb = Workbook()
+        for method, *args in spill_fuzz_edits(random.Random(seed)):
+            getattr(wb, method)(*args)
+        try:
+            assert_matches_fresh_load(wb)
+        except AssertionError:
+            mismatched.append(seed)
+    assert mismatched == [], "replay with spill_fuzz_edits(random.Random(seed))"
+
+
 # -- the evaluation worker --------------------------------------------------------
 
 

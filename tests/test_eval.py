@@ -54,6 +54,67 @@ def test_let_self_reference_is_name_error(wb):
     assert kind(out) == ErrorKind.NAME
 
 
+# A binding's expression sees the names bound before it, not itself: a name
+# it shares with the binding reads the outer one.
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("=LET(x, x+1, x)", 6.0),  # the defined name
+        ("=LAMBDA(x, LET(x, x*2, x))(3)", 6.0),  # the lambda parameter
+        ("=LET(x, 1, LET(x, x+1, x))", 2.0),  # the enclosing LET
+    ],
+)
+def test_let_self_reference_reads_the_outer_name(wb, text, expected):
+    wb.define_name("x", "=5")
+    assert wb.evaluate_formula(text) == expected
+
+
+def test_let_self_reference_through_a_defined_name_recalculates(wb):
+    wb.define_name("y", "=A1")
+    wb.set_cell("A1", 7.0)
+    wb.set_cell("B1", "=LET(y, y+1, y)")
+    wb.recalculate()
+    assert wb.cell_value("Sheet1", 1, 2) == 8.0
+    wb.set_cell("A1", 8.0)
+    wb.recalculate()
+    assert wb.cell_value("Sheet1", 1, 2) == 9.0
+
+
+def test_let_bound_lambda_recurses_only_through_a_defined_name(wb):
+    out = wb.evaluate_formula("=LET(f, LAMBDA(n, IF(n=0, 1, n*f(n-1))), f(5))")
+    assert kind(out) == ErrorKind.NAME
+    wb.define_name("Factλ", "=LAMBDA(n, IF(n=0, 1, n*Factλ(n-1)))")
+    assert wb.evaluate_formula("=Factλ(5)") == 120.0
+
+
+def test_let_binding_read_by_a_closure_evaluated_once(wb):
+    wb.define_name("expensive", "=SUM(SEQUENCE(100))")
+    out = wb.evaluate_formula("=LET(x, expensive, f, LAMBDA(i, x+i), f(1)+f(2)+f(3))")
+    assert out == 15156.0
+    assert wb.trace.count("let", "x") == 1
+    assert wb.trace.count("name", "expensive") == 1
+
+
+def test_let_in_a_mapped_lambda_evaluated_once_per_application(wb):
+    out = wb.evaluate_formula("=MAP({1;2;3}, LAMBDA(i, LET(y, i*2, y+y)))")
+    assert out.rows == ((4.0,), (8.0,), (12.0,))
+    assert wb.trace.count("let", "y") == 3
+
+
+def test_lambda_arguments_bind_as_given(wb):
+    assert wb.evaluate_formula("=LAMBDA(r, ROW(r))(B2:B3)").rows == ((2.0,), (3.0,))
+    assert kind(wb.evaluate_formula("=LAMBDA(e, e)(1/0)")) == ErrorKind.DIV0
+
+
+def test_defined_name_whose_let_reads_itself_is_an_error(wb):
+    wb.define_name("x", "=LET(x, x+1, x)")
+    wb.set_cell("A1", "=x")
+    wb.recalculate()
+    assert kind(wb.cell_value("Sheet1", 1, 1)) == ErrorKind.NUM
+
+
 def test_let_shadows_workbook_name_locally(wb):
     wb.define_name("w", "=100")
     wb.set_cell("A1", "=LET(w, 1, w+1)")

@@ -117,6 +117,17 @@ def test_parse_errors(bad):
         parse_formula(bad)
 
 
+@pytest.mark.parametrize("text", ["=SUM([p])", "=LET(x, [p], 1)"])
+def test_optional_marker_outside_a_lambda_list_is_unexpected(text):
+    with pytest.raises(ParseError, match=r"unexpected '\['"):
+        parse_formula(text)
+
+
+def test_optional_marker_as_lambda_body_is_an_error():
+    with pytest.raises(ParseError, match="LAMBDA body missing"):
+        parse_formula("=LAMBDA(x, [p])")
+
+
 def test_parse_error_carries_offset_and_expected():
     with pytest.raises(ParseError) as err:
         parse_formula("=SUM(1 2)")
