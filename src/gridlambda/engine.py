@@ -558,7 +558,7 @@ class Workbook:
         elif isinstance(value, Array):
             calc.report.placements += 1
             calc.placed.add(addr)
-        new = self.spill_region(addr)
+        new = value.shape if isinstance(value, Array) else None
         # Exposure of the old and new members changed. Readers already
         # evaluated this pass (or outside the pass entirely) saw stale values
         # and go around again; readers still queued pick up fresh values.
@@ -745,16 +745,16 @@ def _extract_refs(expr: E.Expr, sheet: str, wb: Workbook):
     """All cell addresses and defined-name keys a formula statically reaches,
     in one set; a formula that reaches nothing shares the one empty set.
 
-    Lexically bound names (LET bindings, lambda parameters) are excluded;
-    defined names are expanded transitively with a cycle guard, so lambda
-    recursion through a name never produces a self edge.
+    A name the parser located (a LET binding or lambda parameter) reaches
+    nothing itself; defined names are expanded transitively with a cycle
+    guard, so lambda recursion through a name never produces a self edge.
     """
     out: set[Address | str] = set()
-    _walk(expr, frozenset(), sheet, wb, out, frozenset())
+    _walk(expr, sheet, wb, out, frozenset())
     return out or _NO_READS
 
 
-def _walk(node, bound, sheet, wb, out, visiting):
+def _walk(node, sheet, wb, out, visiting):
     match node:
         case E.CellRef():
             key = wb._sheet_key(node.sheet) if node.sheet else sheet
@@ -770,35 +770,32 @@ def _walk(node, bound, sheet, wb, out, visiting):
             if isinstance(anchor, E.CellRef):
                 key = wb._sheet_key(anchor.sheet) if anchor.sheet else sheet
                 out.add((key, anchor.row, anchor.col))
-        case E.NameRef(name=name):
-            key = name.casefold()
-            if key in bound or is_builtin_name(name):
+        case E.NameRef(name=name, depth=None):
+            if is_builtin_name(name):
                 return
             # Wired even while undefined, so a later define_name reaches it.
+            key = name.casefold()
             out.add(key)
             defined = wb.names.get(key)
             if defined is not None and key not in visiting:
-                _walk(defined.expr, frozenset(), sheet, wb, out, visiting | {key})
+                _walk(defined.expr, sheet, wb, out, visiting | {key})
         case E.ImplicitIntersect(inner=inner):
-            _walk(inner, bound, sheet, wb, out, visiting)
+            _walk(inner, sheet, wb, out, visiting)
         case E.Call(callee=callee, args=args):
-            _walk(callee, bound, sheet, wb, out, visiting)
+            _walk(callee, sheet, wb, out, visiting)
             for a in args:
-                _walk(a, bound, sheet, wb, out, visiting)
+                _walk(a, sheet, wb, out, visiting)
         case E.Let(bindings=bindings, body=body):
-            inner_bound = set(bound)
-            for name, value_expr in bindings:
-                _walk(value_expr, frozenset(inner_bound), sheet, wb, out, visiting)
-                inner_bound.add(name.casefold())
-            _walk(body, frozenset(inner_bound), sheet, wb, out, visiting)
-        case E.Lambda(params=params, body=body):
-            inner = frozenset(bound | {p.name.casefold() for p in params})
-            _walk(body, inner, sheet, wb, out, visiting)
+            for _, value_expr in bindings:
+                _walk(value_expr, sheet, wb, out, visiting)
+            _walk(body, sheet, wb, out, visiting)
+        case E.Lambda(body=body):
+            _walk(body, sheet, wb, out, visiting)
         case E.BinaryOp(left=left, right=right):
-            _walk(left, bound, sheet, wb, out, visiting)
-            _walk(right, bound, sheet, wb, out, visiting)
+            _walk(left, sheet, wb, out, visiting)
+            _walk(right, sheet, wb, out, visiting)
         case E.UnaryOp(operand=operand) | E.PercentPostfix(operand=operand):
-            _walk(operand, bound, sheet, wb, out, visiting)
+            _walk(operand, sheet, wb, out, visiting)
         case _:
             pass
 

@@ -1,4 +1,4 @@
-"""Expression evaluation: LET scoping, closures, recursion, operators.
+"""Expression evaluation: LET frames, closures, recursion, operators.
 
 Evaluation is total: every failure mode is returned as an error value, never
 raised. Workbook state is reached only through the context's workbook handle.
@@ -52,25 +52,17 @@ class TraceSink:
         self.counters.clear()
 
 
-class Binding:
-    """A LET binding not yet read. Its first read evaluates ``expr`` in the
-    frame before the binding and puts the value in its place."""
-
-    __slots__ = ("expr",)
-
-    def __init__(self, expr):
-        self.expr = expr
-
-
 class Environment:
-    """A lexical frame of casefolded name -> value (or a `Binding` not yet
-    read), chained to a parent frame. ``Environment()`` is the empty root."""
+    """A lexical frame, chained to the frame it was opened in: the slots of
+    one lambda application (its arguments, padded with OMITTED) or of one
+    LET (the binding expressions, each replaced by its value on first read).
+    ``Environment()`` is the empty root."""
 
-    __slots__ = ("parent", "frame")
+    __slots__ = ("parent", "slots")
 
-    def __init__(self, parent: "Environment | None" = None, frame: dict | None = None):
+    def __init__(self, parent: "Environment | None" = None, slots=()):
         self.parent = parent
-        self.frame = {} if frame is None else frame
+        self.slots = slots
 
 
 @dataclass
@@ -279,32 +271,30 @@ def _eval_percent(expr: E.PercentPostfix, env: Environment, ctx: EvalContext):
 
 
 def _eval_name(expr: E.NameRef, env: Environment, ctx: EvalContext):
-    name = expr.name
-    key = name.casefold()
-    while env is not None:
-        value = env.frame.get(key)  # values are never None
-        if value is not None:
-            if type(value) is Binding:
-                ctx.trace.record("let", name)
-                value = env.frame[key] = evaluate(value.expr, env.parent, ctx)
-            return value
-        env = env.parent
+    depth = expr.depth
+    if depth is not None:
+        while depth:
+            env = env.parent
+            depth -= 1
+        slots = env.slots
+        value = slots[expr.slot]
+        if isinstance(value, E.Expr):  # a LET binding's first read
+            ctx.trace.record("let", expr.name)
+            value = slots[expr.slot] = evaluate(value, env, ctx)
+        return value
     wb = ctx.workbook
     if wb is not None:
-        defined = wb.lookup_name(name)
+        defined = wb.lookup_name(expr.name)
         if defined is not None:
             ctx.trace.record("name", defined.name)
             return evaluate(defined.expr, Environment(), ctx)
-    return ErrorValue(NAME_ERROR.kind, f"unknown name {name!r}")
+    return ErrorValue(NAME_ERROR.kind, f"unknown name {expr.name!r}")
 
 
 def _eval_let(expr: E.Let, env: Environment, ctx: EvalContext):
-    # Each binding opens a frame chained onto the previous one, and its
-    # expression is evaluated in the frame before it, so it sees earlier
-    # names only, not itself.
-    for name, value_expr in expr.bindings:
-        env = Environment(env, {name.casefold(): Binding(value_expr)})
-    return evaluate(expr.body, env, ctx)
+    # One frame holds every binding; the parser lets a binding's expression
+    # see only the slots before its own.
+    return evaluate(expr.body, Environment(env, [value for _, value in expr.bindings]), ctx)
 
 
 def _eval_cell_ref(ref: E.CellRef, env: Environment, ctx: EvalContext):
@@ -379,11 +369,10 @@ def _eval_intersect(expr: E.ImplicitIntersect, env: Environment, ctx: EvalContex
 
 
 def _eval_call(expr: E.Call, env: Environment, ctx: EvalContext):
-    # Call position resolves built-ins first (so a LET name like "year"
-    # coexists with the YEAR function); any other callee evaluates like a
-    # value: lexical bindings, then workbook names.
+    # A callee the parser left without an address may be a builtin; any
+    # other callee evaluates like a value.
     callee, args = expr.callee, expr.args
-    if isinstance(callee, E.NameRef):
+    if type(callee) is E.NameRef and callee.depth is None:
         builtin = BUILTINS.get(callee.name.casefold())
         if builtin is not None:
             return _call_builtin(builtin, args, env, ctx)
@@ -407,10 +396,10 @@ def apply_closure(closure: Closure, args, ctx: EvalContext):
         return ErrorValue(VALUE_ERROR.kind, "missing required argument")
     if ctx.depth >= ctx.depth_limit:
         return ErrorValue(NUM_ERROR.kind, "recursion limit exceeded")
-    frame = {p.name.casefold(): args[i] if i < n else OMITTED for i, p in enumerate(closure.params)}
+    slots = (*args, *[OMITTED] * (closure.max_arity - n))
     ctx.depth += 1
     try:
-        return evaluate(closure.body, Environment(closure.env, frame), ctx)
+        return evaluate(closure.body, Environment(closure.env, slots), ctx)
     finally:
         ctx.depth -= 1
 

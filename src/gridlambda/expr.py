@@ -78,7 +78,11 @@ class RangeRef(Expr):
 
 @dataclass(frozen=True)
 class NameRef(Expr):
+    # A name an enclosing LET or LAMBDA binds has the lexical address the
+    # parser gives it: ``depth`` frames out, ``slot`` in that frame.
     name: str
+    depth: int | None = None
+    slot: int = 0
 
 
 @dataclass(frozen=True)

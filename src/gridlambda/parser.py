@@ -1,5 +1,5 @@
 """Formula text to ``Expr``: one regular-expression scanner and a
-precedence-climbing parser.
+precedence-climbing parser that gives each bound name its lexical address.
 
 ``tokenize`` matches one compiled pattern per token. Python code decides
 only what a pattern cannot: whether a word with non-ASCII letters ends where
@@ -23,6 +23,7 @@ import unicodedata
 from typing import NamedTuple
 
 from . import expr as E
+from .evaluator import is_builtin_name
 from .values import Array, ErrorKind, ErrorValue, Param
 
 # Longest first, so a shorter error text never matches the start of a longer one.
@@ -192,6 +193,8 @@ class _Parser:
         self.tokens = tokens
         tokens.append(Token("end", "", source_len, source_len))
         self.pos = 0
+        # Per open LET or LAMBDA, innermost last: the names bound so far.
+        self.scopes: list[list[str]] = []
 
     # -- token helpers
 
@@ -254,7 +257,7 @@ class _Parser:
                 if not isinstance(node, (E.NameRef, E.CellRef)):
                     raise ParseError("'#' applies to a name or cell reference", tok.start)
                 self.pos += 1
-                node = E.SpillRef(node)
+                node = E.SpillRef(E.NameRef(node.name) if isinstance(node, E.NameRef) else node)
             elif tok.kind == "op" and tok.lexeme == "%":
                 self.pos += 1
                 node = E.PercentPostfix(node)
@@ -266,12 +269,21 @@ class _Parser:
     def call(self, callee: E.Expr) -> E.Expr:
         open_tok = self.expect_punct("(")
         upper = callee.name.upper() if isinstance(callee, E.NameRef) else None
+        binder = upper == "LET" or upper == "LAMBDA"
+        if binder:
+            self.scopes.append([])
+        elif upper is not None and callee.depth is not None and is_builtin_name(callee.name):
+            callee = E.NameRef(callee.name)  # a builtin callee wins over a binding
         args: list[E.Expr] = []
         if self.at_punct(")"):
             self.next()
         else:
             while True:
                 args.append(self.argument(upper == "LAMBDA"))
+                if binder:  # a parameter binds from the next argument on, a LET name once its value is read
+                    bound = args[-1] if upper == "LAMBDA" else args[-2] if len(args) % 2 == 0 else None
+                    if isinstance(bound, (E.NameRef, Param)):
+                        self.scopes[-1].append(bound.name.casefold())
                 tok = self.peek()
                 if tok.kind == "end":
                     raise ParseError("unclosed argument list", tok.start, expected=(")",))
@@ -280,10 +292,9 @@ class _Parser:
                 self.pos += 1
                 if tok.lexeme == ")":
                     break
-        if upper == "LET":
-            return self._make_let(args, open_tok)
-        if upper == "LAMBDA":
-            return self._make_lambda(args, open_tok)
+        if binder:
+            self.scopes.pop()
+            return self._make_let(args, open_tok) if upper == "LET" else self._make_lambda(args, open_tok)
         return E.Call(callee, tuple(args))
 
     def argument(self, in_lambda: bool) -> E.Expr | Param:
@@ -363,13 +374,21 @@ class _Parser:
                     raise ParseError("expected cell reference after sheet name", self.peek().start)
                 return self.reference(sheet=tok.lexeme)
             self.next()
-            return E.NameRef(tok.lexeme)
+            return self.name(tok.lexeme) if self.scopes else E.NameRef(tok.lexeme)
         if tok.kind == "punct" and tok.lexeme == "(":
             self.next()
             node = self.expression()
             self.expect_punct(")")
             return node
         raise ParseError(f"unexpected {tok.lexeme!r}", tok.start)
+
+    def name(self, name: str) -> E.NameRef:
+        """``name`` at the address of its innermost binding in scope, if any."""
+        key = name.casefold()
+        for depth, frame in enumerate(reversed(self.scopes)):
+            if key in frame:
+                return E.NameRef(name, depth, len(frame) - 1 - frame[::-1].index(key))
+        return E.NameRef(name)
 
     def reference(self, sheet: str | None) -> E.Expr:
         tok = self.next()

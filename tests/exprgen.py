@@ -1,4 +1,12 @@
-"""Deterministic random formula-AST generator for round-trip testing."""
+"""Deterministic random formula-AST generator for round-trip testing.
+
+The generator models LET and LAMBDA scope itself, so a round trip checks
+the parser's lexical addresses against an independent account of them.
+``scope`` maps each casefolded name that an enclosing LET or LAMBDA binds to
+the (frame, slot) of its innermost binding, frames numbered outermost first;
+``frames`` counts the open ones. A name's address is ``frames - 1 - frame``
+frames out, at ``slot``. A spill target and a callee that names a builtin
+keep no address."""
 
 from __future__ import annotations
 
@@ -10,7 +18,9 @@ from gridlambda.values import Array, ErrorKind, ErrorValue, Param
 _NAMES = [
     "alpha", "rate", "vRate", "opening", "closing", "Addλ", "Sumλ", "δt",
     "ϑ", "εps", "balance", "x", "y_", "a.b", "Growthλ", "counter", "sales",
+    "year",
 ]
+_BUILTIN_NAMES = {"year"}
 _SHEETS = [None, None, None, "Sheet1", "Data", "Model"]
 _TEXT_CHARS = 'abc XYZ λδ 0189 .,;:+-*/^&<>=()!?"'
 _ERRORS = [ErrorValue(k) for k in ErrorKind]
@@ -69,7 +79,15 @@ def _range(rng: random.Random) -> E.RangeRef:
     return E.RangeRef(start, end, sheet=sheet)
 
 
-def _leaf(rng: random.Random) -> E.Expr:
+def _name(name: str, scope: dict, frames: int) -> E.NameRef:
+    bound = scope.get(name.casefold())
+    if bound is None:
+        return E.NameRef(name)
+    frame, slot = bound
+    return E.NameRef(name, frames - 1 - frame, slot)
+
+
+def _leaf(rng: random.Random, scope: dict, frames: int) -> E.Expr:
     kind = rng.randrange(9)
     if kind == 0:
         return E.Literal(_number(rng))
@@ -91,46 +109,58 @@ def _leaf(rng: random.Random) -> E.Expr:
         return _range(rng)
     if kind == 7:
         return E.SpillRef(rng.choice([E.NameRef(rng.choice(_NAMES)), _cell(rng)]))
-    return E.NameRef(rng.choice(_NAMES))
+    return _name(rng.choice(_NAMES), scope, frames)
 
 
-def gen_expr(rng: random.Random, depth: int = 4) -> E.Expr:
+def gen_expr(rng: random.Random, depth: int = 4, scope: dict | None = None, frames: int = 0) -> E.Expr:
+    scope = {} if scope is None else scope
+
+    def sub(inner=scope, inner_frames=frames):
+        return gen_expr(rng, depth - 1, inner, inner_frames)
+
     if depth <= 0:
-        return _leaf(rng)
+        return _leaf(rng, scope, frames)
     kind = rng.randrange(10)
     if kind <= 2:
-        return _leaf(rng)
+        return _leaf(rng, scope, frames)
     if kind == 3:
-        return E.BinaryOp(rng.choice(_BINOPS), gen_expr(rng, depth - 1), gen_expr(rng, depth - 1))
+        return E.BinaryOp(rng.choice(_BINOPS), sub(), sub())
     if kind == 4:
-        return E.UnaryOp(rng.choice(["-", "+"]), gen_expr(rng, depth - 1))
+        return E.UnaryOp(rng.choice(["-", "+"]), sub())
     if kind == 5:
-        return E.PercentPostfix(gen_expr(rng, depth - 1))
+        return E.PercentPostfix(sub())
     if kind == 6:
-        return E.ImplicitIntersect(gen_expr(rng, depth - 1))
+        return E.ImplicitIntersect(sub())
     if kind == 7:
         args = []
         for _ in range(rng.randrange(0, 4)):
             if rng.random() < 0.15:
                 args.append(E.OMITTED_ARG)
             else:
-                args.append(gen_expr(rng, depth - 1))
+                args.append(sub())
         if args == [E.OMITTED_ARG]:
             # "f()" parses as zero arguments and "f(,)" as two, so a single
             # omitted argument has no written form.
             args = []
-        callee: E.Expr = E.NameRef(rng.choice(_NAMES))
+        name = rng.choice(_NAMES)
+        callee: E.Expr = E.NameRef(name) if name in _BUILTIN_NAMES else _name(name, scope, frames)
         if rng.random() < 0.2:
-            callee = E.Call(callee, (gen_expr(rng, depth - 1),))
+            callee = E.Call(callee, (sub(),))
         return E.Call(callee, tuple(args))
+    # A LET or LAMBDA opens frame number ``frames``.
+    inner = dict(scope)
     if kind == 8:
-        names = rng.sample(_NAMES, rng.randrange(1, 4))
-        bindings = tuple((n, gen_expr(rng, depth - 1)) for n in names)
-        return E.Let(bindings, gen_expr(rng, depth - 1))
+        bindings = []
+        for slot, name in enumerate(rng.choices(_NAMES, k=rng.randrange(1, 4))):  # may repeat
+            bindings.append((name, sub(inner, frames + 1)))
+            inner[name.casefold()] = (frames, slot)  # in scope once its value is read
+        return E.Let(tuple(bindings), sub(inner, frames + 1))
     n_req = rng.randrange(0, 3)
     n_opt = rng.randrange(0, 2)
     names = rng.sample(_NAMES, n_req + n_opt)
     params = tuple(
         Param(nm, optional=i >= n_req) for i, nm in enumerate(names)
     )
-    return E.Lambda(params, gen_expr(rng, depth - 1))
+    for slot, name in enumerate(names):
+        inner[name.casefold()] = (frames, slot)
+    return E.Lambda(params, sub(inner, frames + 1))

@@ -71,6 +71,44 @@ def test_let_self_reference_reads_the_outer_name(wb, text, expected):
     assert wb.evaluate_formula(text) == expected
 
 
+# Which binding a name means, with the defined name ``x`` reading A1 (7).
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("=LET(x, 1, x, x+1, x)", 2.0),  # a repeated LET name: the latest
+        ("=LET(X, 1, x+1)", 2.0),  # names match without case
+        ("=LET(sum, LAMBDA(v, v*2), sum(3))", 3.0),  # a builtin callee wins
+        ("=LET(sum, 5, sum+1)", 6.0),  # elsewhere the binding
+        ("=LAMBDA(a, LAMBDA(b, LET(c, a+b, LAMBDA(d, a+b+c+d))))(1)(2)(3)", 9.0),
+        ("=LAMBDA(x, LET(y, x, x, 5, x+y))(1)", 6.0),
+        ("=LET(x, 1, x#)", ErrorKind.REF),  # a spill target is the defined name
+        ("=LAMBDA(x, x#)(1)", ErrorKind.REF),
+    ],
+)
+def test_names_resolve_to_the_innermost_binding(wb, text, expected):
+    wb.define_name("x", "=A1")
+    wb.set_cell("A1", 7.0)
+    out = wb.evaluate_formula(text)
+    assert (kind(out) if isinstance(expected, ErrorKind) else out) == expected
+
+
+@pytest.mark.parametrize(
+    "text, reads",
+    [
+        ("=LAMBDA(x, x*2)(3)", set()),
+        ("=LET(x, 2, x)", set()),
+        ("=LET(y, x, y)", {("sheet1", 1, 1), "x"}),  # through the defined name
+    ],
+)
+def test_bound_names_wire_nothing_themselves(wb, text, reads):
+    wb.define_name("x", "=A1")
+    wb.set_cell("A1", 7.0)
+    wb.set_cell("B1", text)
+    assert wb.cells[("sheet1", 1, 2)].reads == reads
+
+
 def test_let_self_reference_through_a_defined_name_recalculates(wb):
     wb.define_name("y", "=A1")
     wb.set_cell("A1", 7.0)

@@ -21,8 +21,32 @@ def test_minimal_let():
     ast = parse_formula("=LET(x, 1, x+1)")
     assert ast == E.Let(
         (("x", E.Literal(1.0)),),
-        E.BinaryOp("+", E.NameRef("x"), E.Literal(1.0)),
+        E.BinaryOp("+", E.NameRef("x", depth=0, slot=0), E.Literal(1.0)),
     )
+
+
+# A name that an enclosing LET or LAMBDA binds carries its lexical address,
+# (frames out, slot); a spill target and a builtin callee carry none.
+@pytest.mark.parametrize(
+    "text, path, address",
+    [
+        ("=LET(x, 1, x, x+1, x)", ("body",), (0, 1)),
+        ("=LET(x, 1, x, x+1, x)", ("bindings", 1, 1, "left"), (0, 0)),
+        ("=LET(x, x, x)", ("bindings", 0, 1), (None, 0)),
+        ("=LAMBDA(a, b, LET(c, a, b))", ("body", "bindings", 0, 1), (1, 0)),
+        ("=LAMBDA(a, b, LET(c, a, b))", ("body", "body"), (1, 1)),
+        ("=LET(x, 1, x#)", ("body", "target"), (None, 0)),
+        ("=LET(sum, 1, sum(sum))", ("body", "callee"), (None, 0)),
+        ("=LET(sum, 1, sum(sum))", ("body", "args", 0), (0, 0)),
+        ("=LET(X, 1, x)", ("body",), (0, 0)),
+    ],
+)
+def test_bound_names_carry_their_lexical_address(text, path, address):
+    node = parse_formula(text)
+    for step in path:
+        node = node[step] if isinstance(step, int) else getattr(node, step)
+    assert isinstance(node, E.NameRef)
+    assert (node.depth, node.slot) == address
 
 
 def test_lambda_optional_parameter_flag():
